@@ -13,8 +13,7 @@ from .planner import (MODELS, Plan, PlanReport, model_table, plan,
                       select_model)
 from .sakura import (HopTree, NodeTree, map_hop_tree_to_node_tree,
                      node_bit_cost, validate_grammar, validate_node_tree)
-from .scheduler import (Schedule, simulate, validate_happens_before,
-                        work_and_width)
+from .scheduler import Schedule, simulate, validate_happens_before
 from .sponge import (SpongeParams, inner_f, rawshake_cost, shake256,
                      xof_output)
 
@@ -29,5 +28,5 @@ __all__ = [
     "plan_single", "plan_ternary", "plan_ternary_with_model", "predict",
     "rawshake_cost", "select_model", "shake256", "simulate",
     "validate_grammar", "validate_happens_before", "validate_node_tree",
-    "work_and_width", "xof_output",
+    "xof_output",
 ]

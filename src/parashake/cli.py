@@ -35,7 +35,10 @@ def _read_message(args) -> BitString:
         with open(args.infile, "rb") as f:
             data = f.read()
     elif args.hexstr is not None:
-        data = bytes.fromhex(args.hexstr)
+        try:
+            data = bytes.fromhex(args.hexstr)
+        except ValueError as exc:
+            raise TreeHashError("--hex: %s" % exc) from None
     else:
         raise TreeHashError("no input given")
     if not 0 <= args.bits <= 7:
@@ -111,12 +114,11 @@ def cmd_analyze(args) -> int:
         return 1
     sched = scheduler.simulate(plan.node_tree, args.out_bits)
     happens_before = scheduler.validate_happens_before(sched, plan.node_tree)
-    total, procs, width = scheduler.work_and_width(sched)
     print("plan-valid: yes")
     print("depth: %d" % sched.depth)
-    print("processors: %d" % procs)
-    print("max-concurrency: %d" % width)
-    print("total-calls: %d" % total)
+    print("processors: %d" % sched.processors)
+    print("max-concurrency: %d" % sched.max_concurrency)
+    print("total-calls: %d" % sched.total_calls)
     print("stalls: %d" % sched.total_stalls)
     print("happens-before: %s" % ("ok" if happens_before else "VIOLATED"))
     _emit(args.emit_schedule, treeio.dump_schedule(sched))

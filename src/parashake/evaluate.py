@@ -4,8 +4,13 @@ executor that must agree with it bit for bit.
 The tree shape is part of the function being computed: two strategies
 hashing the same message generally produce different digests.  Within a
 fixed tree, the digest is independent of evaluation order and of
-parallelism; scheduling metrics come from the simulator, never from wall
-clocks.
+parallelism.  Both executors take the node order from the tree's
+dependency index (`NodeTree.deps`), so a reference to a node that is not
+an earlier one raises `DependencyCycleError` before any node is
+evaluated, and both run one node step: assemble the node's f-input, then
+`inner_f` for an inner node or `xof_output` for the final one.
+Scheduling metrics (depth, processors) come from the simulator, never
+from wall clocks.
 """
 
 from __future__ import annotations
@@ -58,20 +63,31 @@ def materialize_node(node: NodeLayout, message: BitString,
 
 
 def _check_order(tree: NodeTree, order) -> list:
+    deps = tree.deps
     if order is None:
-        return list(range(len(tree.nodes)))
+        return list(range(len(deps)))
     order = list(order)
-    if sorted(order) != list(range(len(tree.nodes))):
+    if sorted(order) != list(range(len(deps))):
         raise DependencyCycleError("order is not a permutation of the nodes")
     seen = set()
     for nid in order:
-        for _, producer in tree.nodes[nid].cv_positions():
+        for _, producer in deps[nid]:
             if producer not in seen:
                 raise DependencyCycleError(
                     "order evaluates node %d before its producer %d"
                     % (nid, producer))
         seen.add(nid)
     return order
+
+
+def _node_step(node: NodeLayout, message: BitString, values: dict,
+               out_bits: int, params: SpongeParams) -> tuple:
+    """(value, calls) of one node: its chaining value, or the digest
+    squeezed to `out_bits` when it is the final node."""
+    bits = materialize_node(node, message, values)
+    if node.is_final:
+        return xof_output(bits, out_bits, params)
+    return inner_f(bits, params)
 
 
 def evaluate_sequential(tree: NodeTree, message: BitString,
@@ -82,19 +98,13 @@ def evaluate_sequential(tree: NodeTree, message: BitString,
     squeezed to `out_bits`.  Ground truth for all digests."""
     if not tree.nodes[-1].is_final:
         raise ValueError("tree has no final node")
-    order = _check_order(tree, order)
     values = {}
-    out = None
     calls = 0
-    for nid in order:
-        node = tree.nodes[nid]
-        bits = materialize_node(node, message, values)
-        if node.is_final:
-            out, used = xof_output(bits, out_bits, params)
-        else:
-            values[nid], used = inner_f(bits, params)
+    for nid in _check_order(tree, order):
+        values[nid], used = _node_step(tree.nodes[nid], message, values,
+                                       out_bits, params)
         calls += used
-    return Digest(out, calls)
+    return Digest(values[len(tree.nodes) - 1], calls)
 
 
 def evaluate_parallel(tree: NodeTree, message: BitString,
@@ -111,38 +121,25 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
     if not tree.nodes[-1].is_final:
         raise ValueError("tree has no final node")
     rank = []
-    for nid, node in enumerate(tree.nodes):
-        deps = [producer for _, producer in node.cv_positions()]
-        for producer in deps:
-            if not 0 <= producer < nid:
-                raise DependencyCycleError(
-                    "node %d consumes value of node %r, which is not an "
-                    "earlier node" % (nid, producer))
-        rank.append(1 + max((rank[p] for p in deps), default=0))
+    for node_deps in tree.deps:
+        rank.append(1 + max((rank[p] for _, p in node_deps), default=0))
     waves = {}
     for nid, r in enumerate(rank):
         waves.setdefault(r, []).append(nid)
 
     values = {}
-    results = {}
+    calls = 0
 
     def run(nid: int):
-        node = tree.nodes[nid]
-        bits = materialize_node(node, message, values)
-        if node.is_final:
-            return xof_output(bits, out_bits, params)
-        return inner_f(bits, params)
+        return _node_step(tree.nodes[nid], message, values, out_bits, params)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         for r in sorted(waves):
             wave = waves[r]
-            for nid, result in zip(wave, pool.map(run, wave)):
-                results[nid] = result
-                if not tree.nodes[nid].is_final:
-                    values[nid] = result[0]
-    out, _ = results[len(tree.nodes) - 1]
-    calls = sum(used for _, used in results.values())
-    return Digest(out, calls)
+            for nid, (value, used) in zip(wave, pool.map(run, wave)):
+                values[nid] = value
+                calls += used
+    return Digest(values[len(tree.nodes) - 1], calls)
 
 
 def differential_check(tree: NodeTree, message: BitString,

@@ -174,19 +174,48 @@ def _compose_ternary(part_roots: list) -> tuple:
     return hops[0], height
 
 
-def _subtree_nodes(hop) -> int:
-    if isinstance(hop, MessageHop):
-        return 1
-    return 1 + sum(_subtree_nodes(c) for c in hop.cv_children)
+# ---------------------------------------------------------------------------
+# closed-form predictions: (depth, processor bound), exact integer arithmetic
+
+def _single_prediction(n: int) -> tuple:
+    return max(1, _ceil_div(n + 6, RATE_BITS)), 1
+
+
+def _small_model_id(n: int) -> int:
+    """Smallest final-capable catalogue subtree for 2171..3274 bits."""
+    return 1 if n <= MODELS[1].capacity(True) else 2
+
+
+def _small_prediction(n: int) -> tuple:
+    """Below the composition threshold (n <= 3274): one final message hop,
+    then one final catalogue subtree."""
+    if n <= MODELS[0].capacity(True):
+        return _single_prediction(n)
+    model = MODELS[_small_model_id(n)]
+    return model.time_units, model.processors
+
+
+def _composed_prediction(n: int, model: ModelEntry) -> tuple:
+    """Ternary composition over ceil(n/N_mb) parts of one catalogue model:
+    ceil(log3(parts)) + T_model, parts * N_p."""
+    parts = _ceil_div(n, model.message_bits)
+    return ceil_log3_ratio(parts) + model.time_units, parts * model.processors
+
+
+def _compacted_prediction(n: int) -> tuple:
+    """ceil(log3((n+31)/3305)) + 2, 3*ceil((n+31)/3305)."""
+    units = _ceil_div(n + 31, COMPACTED_UNIT)
+    return ceil_log3_ratio(units) + 2, 3 * units
 
 
 def _finish(strategy: str, root, n: int, model_id, height: int,
-            depth: int, proc_bound: int, compaction: str) -> Plan:
+            prediction: tuple, compaction: str) -> Plan:
     tree = HopTree(root, n)
     node_tree = map_hop_tree_to_node_tree(tree, compaction)
+    depth, processors = prediction
     report = PlanReport(strategy=strategy, model_id=model_id, message_bits=n,
                         predicted_depth=depth,
-                        predicted_processors=proc_bound,
+                        predicted_processors=processors,
                         tree_height=height,
                         node_count=node_tree.node_count)
     return Plan(strategy, compaction, tree, node_tree, report)
@@ -198,9 +227,8 @@ def _finish(strategy: str, root, n: int, model_id, height: int,
 def plan_single(n: int) -> Plan:
     """One final message hop: the sequential baseline.  Its digest equals
     standard SHAKE256 of the message."""
-    root = MessageHop(0, n)
-    depth = max(1, _ceil_div(n + 6, RATE_BITS))
-    return _finish("single", root, n, None, 0, depth, 1, "aligned")
+    return _finish("single", MessageHop(0, n), n, None, 0,
+                   _single_prediction(n), "aligned")
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +238,12 @@ def _small_final_plan(strategy: str, n: int) -> Plan:
     """Messages below the composition threshold: a single final hop up to
     2170 bits, then the smallest final-capable catalogue subtree."""
     if n <= MODELS[0].capacity(True):
-        plan = plan_single(n)
-        return _finish(strategy, plan.hop_tree.root, n, 0, 0,
-                       plan.report.predicted_depth, 1, "aligned")
-    model_id = 1 if n <= MODELS[1].capacity(True) else 2
-    root = build_model_subtree(model_id, 0, n, as_final=True)
-    return _finish(strategy, root, n, model_id, 0, 2,
-                   MODELS[model_id].processors, "aligned")
+        root, model_id = MessageHop(0, n), 0
+    else:
+        model_id = _small_model_id(n)
+        root = build_model_subtree(model_id, 0, n, as_final=True)
+    return _finish(strategy, root, n, model_id, 0, _small_prediction(n),
+                   "aligned")
 
 
 def _trimmed_node_count(model: ModelEntry, length: int) -> int:
@@ -255,16 +282,7 @@ def plan_ternary(n: int) -> Plan:
     """
     if n <= MODELS[2].capacity(True):
         return _small_final_plan("ternary", n)
-    p = _ceil_div(n, TERNARY_PART_BITS)
-    roots = []
-    for i in range(p - 1):
-        roots.append(build_model_subtree(
-            2, i * TERNARY_PART_BITS, TERNARY_PART_BITS))
-    last = n - (p - 1) * TERNARY_PART_BITS
-    roots.append(_encapsulate_remainder((p - 1) * TERNARY_PART_BITS, last, 2))
-    root, height = _compose_ternary(roots)
-    return _finish("ternary", root, n, 2, height, height + 2, 3 * p,
-                   "aligned")
+    return _plan_composed("ternary", n, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -284,15 +302,12 @@ def select_model(n: int) -> int:
     if n < SELECT_MODEL_MIN_BITS:
         raise MessageTooShortError(
             "model selection needs at least %d bits" % SELECT_MODEL_MIN_BITS)
-    target = ceil_log3_ratio(n, TERNARY_PART_BITS) + 2
+    target, _ = _composed_prediction(n, MODELS[2])
     best = None
     for model in MODELS:
-        parts = _ceil_div(n, model.message_bits)
-        if ceil_log3_ratio(parts) + model.time_units != target:
-            continue
-        score = parts * model.processors
-        if best is None or score < best[0]:
-            best = (score, model.id)
+        depth, procs = _composed_prediction(n, model)
+        if depth == target and (best is None or procs < best[0]):
+            best = (procs, model.id)
     assert best is not None, "model 2 always meets the target depth"
     return best[1]
 
@@ -306,6 +321,12 @@ def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
             % SELECT_MODEL_MIN_BITS)
     if model_id is None:
         model_id = select_model(n)
+    return _plan_composed("ternary-min-procs", n, model_id)
+
+
+def _plan_composed(strategy: str, n: int, model_id: int) -> Plan:
+    """Parts of one catalogue model under the ternary composition; the
+    last part is encapsulated within the model's time budget."""
     model = MODELS[model_id]
     p = _ceil_div(n, model.message_bits)
     if p == 1:
@@ -320,9 +341,8 @@ def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
         roots.append(_encapsulate_remainder(
             (p - 1) * model.message_bits, last, model.time_units))
         root, height = _compose_ternary(roots)
-    return _finish("ternary-min-procs", root, n, model_id, height,
-                   height + model.time_units, p * model.processors,
-                   "aligned")
+    return _finish(strategy, root, n, model_id, height,
+                   _composed_prediction(n, model), "aligned")
 
 
 # ---------------------------------------------------------------------------
@@ -428,18 +448,16 @@ def plan_compacted(n: int, relaxed: bool = False) -> Plan:
     hop; zero alignment padding and zero stalls by construction."""
     strategy = "compacted-relaxed" if relaxed else "compacted"
     if n <= MODELS[0].capacity(True):
-        plan = plan_single(n)
-        return _finish(strategy, plan.hop_tree.root, n, None, 0,
-                       plan.report.predicted_depth, 1, "compacted")
+        return _finish(strategy, MessageHop(0, n), n, None, 0,
+                       _single_prediction(n), "compacted")
     j = 1
     while compacted_capacity(j, relaxed) < n:
         j += 1
     caps = _compacted_caps(j, relaxed)
     root, used = _build_compacted_subtree(j + 1, 0, n, caps, relaxed, True)
     assert used == n
-    depth = ceil_log3_ratio(n + 31, COMPACTED_UNIT) + 2
-    procs = 3 * _ceil_div(n + 31, COMPACTED_UNIT)
-    return _finish(strategy, root, n, None, j, depth, procs, "compacted")
+    return _finish(strategy, root, n, None, j, _compacted_prediction(n),
+                   "compacted")
 
 
 def plan_compacted_relaxed(n: int) -> Plan:
@@ -481,25 +499,17 @@ def max_single_kangaroo(k: int, offset: int = 0,
 
 def predict(strategy: str, n: int) -> tuple:
     """Closed-form (depth, processor bound) for a strategy, using exact
-    integer arithmetic."""
-    if strategy == "single":
-        return max(1, _ceil_div(n + 6, RATE_BITS)), 1
-    if strategy in ("ternary", "ternary-min-procs"):
-        if n <= MODELS[0].capacity(True):
-            return max(1, _ceil_div(n + 6, RATE_BITS)), 1
-        if n <= MODELS[2].capacity(True):
-            return 2, MODELS[1 if n <= MODELS[1].capacity(True) else 2].processors
-        depth = ceil_log3_ratio(n, TERNARY_PART_BITS) + 2
-        if strategy == "ternary":
-            return depth, 3 * _ceil_div(n, TERNARY_PART_BITS)
-        model = MODELS[select_model(n)]
-        return depth, _ceil_div(n, model.message_bits) * model.processors
+    integer arithmetic; `plan(strategy, n).report` carries the same pair."""
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % strategy)
+    if strategy == "single" or n <= MODELS[0].capacity(True):
+        return _single_prediction(n)
     if strategy in ("compacted", "compacted-relaxed"):
-        if n <= MODELS[0].capacity(True):
-            return max(1, _ceil_div(n + 6, RATE_BITS)), 1
-        return (ceil_log3_ratio(n + 31, COMPACTED_UNIT) + 2,
-                3 * _ceil_div(n + 31, COMPACTED_UNIT))
-    raise ValueError("unknown strategy %r" % strategy)
+        return _compacted_prediction(n)
+    if n <= MODELS[2].capacity(True):
+        return _small_prediction(n)
+    model_id = 2 if strategy == "ternary" else select_model(n)
+    return _composed_prediction(n, MODELS[model_id])
 
 
 def plan(strategy: str, n: int, model_id: int | None = None) -> Plan:

@@ -23,9 +23,10 @@ Layout conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import (BlockAlignmentError, GrammarError, SliceRangeError,
-                     TooManyChainingValues)
+from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
+                     SliceRangeError, TooManyChainingValues)
 
 RATE_BITS = 1088
 CV_BITS = 512
@@ -131,6 +132,10 @@ class MessageBits:
 class FrameBits:
     bits: str
 
+    @property
+    def length(self) -> int:
+        return len(self.bits)
+
 
 @dataclass(frozen=True)
 class CVSlot:
@@ -147,17 +152,9 @@ class AlignPad:
     def bits(self) -> str:
         return "1" + "0" * self.zeros
 
-
-def segment_length(seg) -> int:
-    if isinstance(seg, MessageBits):
-        return seg.length
-    if isinstance(seg, CVSlot):
-        return seg.length
-    if isinstance(seg, FrameBits):
-        return len(seg.bits)
-    if isinstance(seg, AlignPad):
-        return 1 + seg.zeros
-    raise TypeError("unknown segment %r" % (seg,))
+    @property
+    def length(self) -> int:
+        return 1 + self.zeros
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class NodeLayout:
     total_bits: int = field(init=False, default=0)
 
     def __post_init__(self):
-        total = sum(segment_length(s) for s in self.segments)
+        total = sum(s.length for s in self.segments)
         if total <= 0 or total % RATE_BITS:
             raise BlockAlignmentError(
                 "node is %d bits, not a positive multiple of %d"
@@ -185,14 +182,14 @@ class NodeLayout:
         for seg in self.segments:
             if isinstance(seg, CVSlot):
                 yield pos, seg.producer
-            pos += segment_length(seg)
+            pos += seg.length
 
     def message_slices(self):
         pos = 0
         for seg in self.segments:
             if isinstance(seg, MessageBits):
                 yield pos, seg.offset, seg.length
-            pos += segment_length(seg)
+            pos += seg.length
 
 
 @dataclass(frozen=True)
@@ -205,6 +202,26 @@ class NodeTree:
     @property
     def node_count(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def deps(self) -> tuple:
+        """Per node, a (block, producer) pair for every chaining-value slot,
+        in slot order.  A value spanning several blocks binds at the first
+        block it touches; its later blocks are absorbed afterwards anyway.
+        Raises `DependencyCycleError` unless every producer is an earlier
+        node.
+        """
+        index = []
+        for nid, node in enumerate(self.nodes):
+            pairs = []
+            for pos, producer in node.cv_positions():
+                if not (isinstance(producer, int) and 0 <= producer < nid):
+                    raise DependencyCycleError(
+                        "node %d consumes value of node %r, "
+                        "which is not an earlier node" % (nid, producer))
+                pairs.append((pos // RATE_BITS, producer))
+            index.append(tuple(pairs))
+        return tuple(index)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +323,7 @@ def encode_node(first, chain=(), is_final: bool = False,
     def put(seg):
         nonlocal pos
         segs.append(seg)
-        pos += segment_length(seg)
+        pos += seg.length
 
     if isinstance(first, MessageHop):
         for seg in encode_message_hop(first.offset, first.length):
@@ -397,9 +414,7 @@ def _tokens(node: NodeLayout) -> list:
             toks.append(("m", seg.length))
         elif isinstance(seg, CVSlot):
             toks.append(("c", seg.producer))
-        elif isinstance(seg, FrameBits):
-            toks.extend(("f", ch) for ch in seg.bits)
-        elif isinstance(seg, AlignPad):
+        elif isinstance(seg, (FrameBits, AlignPad)):
             toks.extend(("f", ch) for ch in seg.bits)
         else:
             raise TypeError("unknown segment %r" % (seg,))
@@ -499,23 +514,25 @@ def validate_node_tree(tree: NodeTree, fragment: bool = False,
                        check_coverage: bool = True) -> tuple[bool, str]:
     """Structural checks over a whole node tree.
 
-    Verifies per-node grammar, topological chaining-value references,
-    the single-final-node rule, single use of every inner node's value,
+    Verifies per-node grammar, the single-final-node rule, topological
+    chaining-value references, single use of every inner node's value,
     and (optionally) that message slices partition the message exactly.
     """
     if not tree.nodes:
         return False, "empty tree"
-    uses = [0] * len(tree.nodes)
     for nid, node in enumerate(tree.nodes):
         ok, why = validate_grammar(node)
         if not ok:
             return False, "node %d: %s" % (nid, why)
         if node.is_final != (not fragment and nid == len(tree.nodes) - 1):
             return False, "node %d has the wrong final flag" % nid
-        for _, producer in node.cv_positions():
-            if not 0 <= producer < nid:
-                return False, ("node %d consumes value of node %r, which is "
-                               "not an earlier node" % (nid, producer))
+    try:
+        deps = tree.deps
+    except DependencyCycleError as exc:
+        return False, str(exc)
+    uses = [0] * len(tree.nodes)
+    for node_deps in deps:
+        for _, producer in node_deps:
             uses[producer] += 1
     for nid, n in enumerate(uses[:-1]):
         if n != 1:

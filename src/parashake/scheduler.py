@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DependencyCycleError
 from .sakura import RATE_BITS, NodeTree
 
 
@@ -50,42 +49,22 @@ class Schedule:
         return sum(t.stalls for t in self.timings)
 
 
-def block_dependencies(tree: NodeTree) -> list:
-    """Per node, per block: producer ids whose value is absorbed there.
-
-    A chaining value spanning several blocks binds at the first block it
-    touches; later blocks of the same value are absorbed afterwards
-    anyway.  Raises if references are not topologically ordered.
-    """
-    deps = []
-    for nid, node in enumerate(tree.nodes):
-        node_deps = [[] for _ in range(node.blocks)]
-        for pos, producer in node.cv_positions():
-            if not 0 <= producer < nid:
-                raise DependencyCycleError(
-                    "node %d consumes value of node %r, which is not an "
-                    "earlier node" % (nid, producer))
-            node_deps[pos // RATE_BITS].append(producer)
-        deps.append(node_deps)
-    return deps
-
-
 def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
-    """Simulate absorption of every node; deterministic."""
-    deps = block_dependencies(tree)
-    finish = [0] * len(tree.nodes)
+    """Simulate absorption of every node; deterministic.  Raises
+    `DependencyCycleError` unless every producer is an earlier node."""
+    finish = []
     timings = []
-    for nid, node in enumerate(tree.nodes):
+    for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
+        ready = [0] * node.blocks
+        for block, producer in node_deps:
+            if finish[producer] > ready[block]:
+                ready[block] = finish[producer]
         end = 0
         ends = []
-        for block in range(node.blocks):
-            ready = end
-            for producer in deps[nid][block]:
-                if finish[producer] > ready:
-                    ready = finish[producer]
-            end = ready + 1
+        for r in ready:
+            end = max(end, r) + 1
             ends.append(end)
-        finish[nid] = end
+        finish.append(end)
         timings.append(NodeTiming(nid, tuple(ends), end - node.blocks))
     squeeze = 0
     if tree.nodes[-1].is_final:
@@ -102,24 +81,15 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
 def validate_happens_before(schedule: Schedule, tree: NodeTree) -> bool:
     """True iff every chaining value is finished strictly before the
     absorption of the block holding it starts."""
-    deps = block_dependencies(tree)
+    deps = tree.deps
     finish = {t.node_id: t.finish for t in schedule.timings}
     for timing in schedule.timings:
-        node_deps = deps[timing.node_id]
-        if len(timing.block_end) != len(node_deps):
+        ends = timing.block_end
+        if len(ends) != tree.nodes[timing.node_id].blocks:
             return False
-        prev = 0
-        for block, end in enumerate(timing.block_end):
-            if end <= prev:              # blocks absorb one per unit
+        if any(b <= a for a, b in zip((0,) + ends, ends)):
+            return False                 # blocks absorb one per unit
+        for block, producer in deps[timing.node_id]:
+            if finish[producer] > ends[block] - 1:
                 return False
-            start = end - 1
-            for producer in node_deps[block]:
-                if finish[producer] > start:
-                    return False
-            prev = end
     return True
-
-
-def work_and_width(schedule: Schedule) -> tuple:
-    """(total permutation calls, processors, peak concurrent absorptions)."""
-    return schedule.total_calls, schedule.processors, schedule.max_concurrency

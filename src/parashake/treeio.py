@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import GrammarError
+from .errors import GrammarError, TreeHashError
 from .planner import Plan, PlanReport
 from .sakura import (AlignPad, ChainingHop, CVSlot, FrameBits, HopTree,
-                     MessageBits, MessageHop, NodeLayout, NodeTree)
+                     MessageBits, MessageHop, NodeLayout, NodeTree, iter_hops)
 from .scheduler import Schedule
 
 PLAN_SCHEMA = "sakura-plan/1"
@@ -70,16 +70,9 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
                            aligned=row["aligned"])
 
     tree = HopTree(build(()), message_bits)
-    if len(rows) != sum(1 for _ in _iter_count(tree.root)):
+    if len(rows) != sum(1 for _ in iter_hops(tree)):
         raise GrammarError("plan document has unreachable hops")
     return tree
-
-
-def _iter_count(hop):
-    yield hop
-    if isinstance(hop, ChainingHop):
-        for child in hop.children:
-            yield from _iter_count(child)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +164,23 @@ def dump_plan(plan: Plan) -> str:
 
 
 def load_plan(text: str) -> Plan:
-    doc = json.loads(text)
-    if doc.get("schema") != PLAN_SCHEMA:
-        raise GrammarError("not a %s document" % PLAN_SCHEMA)
-    message_bits = doc["message_bits"]
-    hop_tree = _hops_from_json(doc["hops"], message_bits)
-    node_tree = _nodes_from_json(doc["nodes"], message_bits)
-    report = _report_from_json(doc["report"])
-    return Plan(report.strategy, doc["compaction"], hop_tree, node_tree,
-                report)
+    """Parse a plan document; any malformed document raises
+    `GrammarError`."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
+            raise GrammarError("not a %s document" % PLAN_SCHEMA)
+        message_bits = doc["message_bits"]
+        hop_tree = _hops_from_json(doc["hops"], message_bits)
+        node_tree = _nodes_from_json(doc["nodes"], message_bits)
+        report = _report_from_json(doc["report"])
+        return Plan(report.strategy, doc["compaction"], hop_tree, node_tree,
+                    report)
+    except TreeHashError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise GrammarError("malformed plan document (%s: %s)"
+                           % (type(exc).__name__, exc)) from None
 
 
 # ---------------------------------------------------------------------------

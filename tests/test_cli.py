@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from parashake import treeio
+from parashake import planner, treeio
 from parashake.cli import main
 
 
@@ -150,3 +150,40 @@ def test_missing_file_is_reported(capsys):
     code, _, err = run_cli(capsys, "hash", "--in", "/nonexistent/xyz")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("hexstr", ["zz", "abc", "0g"])
+def test_bad_hex_is_reported(capsys, hexstr):
+    code, out, err = run_cli(capsys, "hash", "--hex", hexstr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _plan_doc(mutate) -> str:
+    doc = json.loads(treeio.dump_plan(planner.plan("ternary", 9819)))
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def _string_length(doc):
+    row = next(h for h in doc["hops"] if h["kind"] == "message")
+    row["length_bits"] = str(row["length_bits"])
+
+
+@pytest.mark.parametrize("make_text", [
+    lambda: "not json",
+    lambda: "[]",
+    lambda: '{"schema": "sakura-plan/1", "message_bits": 5}',
+    lambda: _plan_doc(lambda doc: doc["nodes"][0].pop("segments")),
+    lambda: _plan_doc(lambda doc: doc.update(nodes="x")),
+    lambda: _plan_doc(_string_length),
+], ids=["not-json", "list", "no-hops", "no-segments", "nodes-string",
+        "string-length"])
+def test_malformed_plan_is_reported(capsys, tmp_path, make_text):
+    path = tmp_path / "plan.json"
+    path.write_text(make_text())
+    code, out, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

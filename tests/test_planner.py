@@ -1,5 +1,7 @@
 """Planners: catalogue fidelity, composition, model selection, compaction."""
 
+import dataclasses
+
 import pytest
 
 from oracles import brute_force_model_choice
@@ -417,6 +419,24 @@ def test_predict_matches_simulation(rng):
             else:
                 assert s.depth == depth, (strategy, n)
                 assert s.processors <= procs
+
+
+@pytest.mark.parametrize("strategy", planner.STRATEGIES)
+def test_report_is_the_prediction(strategy):
+    # the sizes on either side of every planner branch
+    for n in (0, 1, 2169, 2170, 2171, 2704, 2705, 2706, 3273, 3274, 3275,
+              9819, 9820, 29457, 29458, 10 ** 5, 10 ** 6):
+        r = plan(strategy, n).report
+        assert (r.predicted_depth, r.predicted_processors) == \
+            predict(strategy, n), n
+
+
+def test_ternary_is_the_model_2_composition():
+    for n in (3275, 9820, 29457, 10 ** 5):
+        a, b = plan_ternary(n), plan_ternary_with_model(n, 2)
+        assert (a.strategy, b.strategy) == ("ternary", "ternary-min-procs")
+        assert a.hop_tree == b.hop_tree and a.node_tree == b.node_tree
+        assert a.report == dataclasses.replace(b.report, strategy="ternary")
 
 
 def test_dispatcher_auto():

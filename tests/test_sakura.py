@@ -12,8 +12,7 @@ from parashake.sakura import (AlignPad, ChainingHop, CVSlot, FrameBits,
                               chaining_frame_bits, encode_chaining_hop,
                               encode_message_hop, encode_node, iter_hops,
                               map_hop_tree_to_node_tree, node_bit_cost,
-                              segment_length, validate_grammar,
-                              validate_node_tree)
+                              validate_grammar, validate_node_tree)
 
 
 def tail_fill_zeros(node: NodeLayout) -> int:
@@ -84,14 +83,14 @@ def test_encoded_size_matches_formula(role, kind, l, n_cv):
 def test_message_hop_encoding():
     assert [type(s) for s in encode_message_hop(0, 0)] == [FrameBits]
     segs = encode_message_hop(5, 9)
-    assert sum(segment_length(s) for s in segs) == 10
+    assert sum(s.length for s in segs) == 10
     assert segs[-1].bits == "1"
 
 
 def test_chaining_hop_lengths():
     for n_cv, want in ((1, 545), (2, 1057), (4, 2081), (255, 130593)):
         segs = encode_chaining_hop([-1] * n_cv)
-        assert sum(segment_length(s) for s in segs) == want
+        assert sum(s.length for s in segs) == want
 
 
 def test_chaining_frame_bit_pattern():
@@ -276,7 +275,7 @@ def test_wrong_suffix_rejected():
 def test_coded_count_mismatch_rejected():
     segs = [MessageBits(0, 100), FrameBits("1"), FrameBits("1"),
             CVSlot(0), CVSlot(1), FrameBits(chaining_frame_bits(3))]
-    total = sum(segment_length(s) for s in segs)
+    total = sum(s.length for s in segs)
     pad = (-(total + 6)) % 1088
     segs.append(FrameBits("10" + "11" + "1" + "0" * pad + "1"))
     node = NodeLayout(tuple(segs), is_final=False)

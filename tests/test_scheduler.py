@@ -7,8 +7,7 @@ from parashake import planner, scheduler
 from parashake.errors import DependencyCycleError
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
                               map_hop_tree_to_node_tree)
-from parashake.scheduler import (simulate, validate_happens_before,
-                                 work_and_width)
+from parashake.scheduler import simulate, validate_happens_before
 
 
 def fragment(root, total, as_final=False):
@@ -20,7 +19,7 @@ def test_single_node_depth():
     tree = fragment(MessageHop(0, 500), 500, as_final=True)
     s = simulate(tree)
     assert s.depth == 1
-    assert work_and_width(s) == (1, 1, 1)
+    assert (s.total_calls, s.processors, s.max_concurrency) == (1, 1, 1)
 
 
 def test_fig3_depth_and_processors():
@@ -127,10 +126,9 @@ def test_work_totals(rng):
     p = planner.plan_ternary(29457)
     s = simulate(p.node_tree)
     assert s.absorb_calls == sum(n.blocks for n in p.node_tree.nodes)
-    total, procs, width = work_and_width(s)
-    assert procs == 27
-    assert width <= procs
-    assert total == s.absorb_calls
+    assert s.processors == 27
+    assert s.max_concurrency <= s.processors
+    assert s.total_calls == s.absorb_calls
 
 
 def test_max_concurrency():
