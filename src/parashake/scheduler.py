@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import OutputLengthError
 from .sakura import RATE_BITS, NodeTree
 
 
@@ -51,7 +52,10 @@ class Schedule:
 
 def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
     """Simulate absorption of every node; deterministic.  Raises
-    `DependencyCycleError` unless every producer is an earlier node."""
+    `DependencyCycleError` unless every producer is an earlier node, and
+    `OutputLengthError` unless `out_bits` is positive."""
+    if out_bits < 1:
+        raise OutputLengthError("output length must be positive")
     finish = []
     timings = []
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):

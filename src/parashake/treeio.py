@@ -1,23 +1,32 @@
 """JSON wire formats: plan documents, schedule documents, test vectors.
 
-Plan documents carry both views of a plan: the hop tree (hops keyed by
-their tree index: the final hop has the empty index, child i of a hop
-indexed alpha has index alpha + [i-1]) and the node tree (ordered
-segment lists; frame and pad bits rendered as 0/1 strings).  Dumping is
-canonical, so load followed by dump is byte-identical.
+A sakura-plan/2 document holds the compaction, the message length, the
+planner's report and the hop tree (hops keyed by their tree index: the
+final hop has the empty index, child i of a hop indexed alpha has index
+alpha + [i-1]).  The node tree is not stored: loading rebuilds it with
+`map_hop_tree_to_node_tree`, so it cannot disagree with the hop tree,
+and rejects a report whose node count or message length differs from
+the rebuilt tree.  sakura-plan/1 documents, which also list the nodes
+(ordered segment lists; frame and pad bits as 0/1 strings), are still
+read; their node list must equal the rebuilt one.  Dumping is canonical
+and writes /2 only, so load followed by dump of a /2 document is
+byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from .errors import GrammarError, TreeHashError
 from .planner import Plan, PlanReport
-from .sakura import (AlignPad, ChainingHop, CVSlot, FrameBits, HopTree,
-                     MessageBits, MessageHop, NodeLayout, NodeTree, iter_hops)
+from .sakura import (ChainingHop, CVSlot, FrameBits, HopTree, MessageBits,
+                     MessageHop, NodeTree, iter_hops,
+                     map_hop_tree_to_node_tree)
 from .scheduler import Schedule
 
-PLAN_SCHEMA = "sakura-plan/1"
+PLAN_SCHEMA = "sakura-plan/2"
+PLAN_SCHEMA_1 = "sakura-plan/1"     # still read; its node list is checked
 SCHEDULE_SCHEMA = "sakura-schedule/1"
 
 
@@ -78,106 +87,60 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
 # ---------------------------------------------------------------------------
 # nodes
 
-def _segment_to_json(seg) -> dict:
-    if isinstance(seg, MessageBits):
-        return {"kind": "message", "offset_bits": seg.offset,
-                "length_bits": seg.length}
-    if isinstance(seg, CVSlot):
-        return {"kind": "cv", "producer": seg.producer}
-    if isinstance(seg, FrameBits):
-        return {"kind": "frame", "bits": seg.bits}
-    if isinstance(seg, AlignPad):
-        return {"kind": "align_pad", "bits": seg.bits}
-    raise TypeError("unknown segment %r" % (seg,))
-
-
-def _segment_from_json(row: dict):
-    kind = row["kind"]
-    if kind == "message":
-        return MessageBits(row["offset_bits"], row["length_bits"])
-    if kind == "cv":
-        return CVSlot(row["producer"])
-    if kind == "frame":
-        return FrameBits(row["bits"])
-    if kind == "align_pad":
-        bits = row["bits"]
-        if not bits or bits[0] != "1" or bits[1:].strip("0"):
-            raise GrammarError("alignment pad must match 1 0*")
-        return AlignPad(len(bits) - 1)
-    raise GrammarError("unknown segment kind %r" % kind)
-
-
 def _nodes_to_json(tree: NodeTree) -> list:
+    """The node list a sakura-plan/1 document holds for `tree`."""
+    def segment(seg):
+        if isinstance(seg, MessageBits):
+            return {"kind": "message", "offset_bits": seg.offset,
+                    "length_bits": seg.length}
+        if isinstance(seg, CVSlot):
+            return {"kind": "cv", "producer": seg.producer}
+        kind = "frame" if isinstance(seg, FrameBits) else "align_pad"
+        return {"kind": kind, "bits": seg.bits}
+
     return [{"id": nid, "final": node.is_final, "bits": node.total_bits,
-             "segments": [_segment_to_json(s) for s in node.segments]}
+             "segments": [segment(s) for s in node.segments]}
             for nid, node in enumerate(tree.nodes)]
-
-
-def _nodes_from_json(rows: list, message_bits: int) -> NodeTree:
-    nodes = []
-    for nid, row in enumerate(rows):
-        if row["id"] != nid:
-            raise GrammarError("node ids must be consecutive from 0")
-        layout = NodeLayout(tuple(_segment_from_json(s)
-                                  for s in row["segments"]),
-                            bool(row["final"]))
-        if layout.total_bits != row["bits"]:
-            raise GrammarError("node %d declares %d bits but holds %d"
-                               % (nid, row["bits"], layout.total_bits))
-        nodes.append(layout)
-    if not nodes:
-        raise GrammarError("plan document has no nodes")
-    return NodeTree(tuple(nodes), message_bits)
 
 
 # ---------------------------------------------------------------------------
 # plans
-
-def _report_to_json(report: PlanReport) -> dict:
-    return {"strategy": report.strategy, "model_id": report.model_id,
-            "message_bits": report.message_bits,
-            "predicted_depth": report.predicted_depth,
-            "predicted_processors": report.predicted_processors,
-            "tree_height": report.tree_height,
-            "node_count": report.node_count}
-
-
-def _report_from_json(row: dict) -> PlanReport:
-    return PlanReport(strategy=row["strategy"], model_id=row["model_id"],
-                      message_bits=row["message_bits"],
-                      predicted_depth=row["predicted_depth"],
-                      predicted_processors=row["predicted_processors"],
-                      tree_height=row["tree_height"],
-                      node_count=row["node_count"])
-
 
 def dump_plan(plan: Plan) -> str:
     doc = {
         "schema": PLAN_SCHEMA,
         "compaction": plan.compaction,
         "message_bits": plan.hop_tree.message_bits,
-        "report": _report_to_json(plan.report),
+        "report": dataclasses.asdict(plan.report),
         "hops": _hops_to_json(plan.hop_tree),
-        "nodes": _nodes_to_json(plan.node_tree),
     }
     return _dump(doc)
 
 
 def load_plan(text: str) -> Plan:
-    """Parse a plan document; any malformed document raises
-    `GrammarError`."""
+    """Parse a plan document and rebuild its node tree from the hop tree;
+    any malformed or inconsistent document raises `TreeHashError`."""
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
+        if not isinstance(doc, dict) or doc.get("schema") not in (
+                PLAN_SCHEMA, PLAN_SCHEMA_1):
             raise GrammarError("not a %s document" % PLAN_SCHEMA)
         message_bits = doc["message_bits"]
+        compaction = doc["compaction"]
         hop_tree = _hops_from_json(doc["hops"], message_bits)
-        node_tree = _nodes_from_json(doc["nodes"], message_bits)
-        report = _report_from_json(doc["report"])
-        return Plan(report.strategy, doc["compaction"], hop_tree, node_tree,
-                    report)
+        node_tree = map_hop_tree_to_node_tree(hop_tree, compaction)
+        report = PlanReport(**doc["report"])
+        if (report.node_count != node_tree.node_count
+                or report.message_bits != message_bits):
+            raise GrammarError("report disagrees with the hop tree")
+        if (doc["schema"] == PLAN_SCHEMA_1
+                and doc["nodes"] != _nodes_to_json(node_tree)):
+            raise GrammarError("node list disagrees with the hop tree")
+        return Plan(report.strategy, compaction, hop_tree, node_tree, report)
     except TreeHashError:
         raise
+    except RecursionError:
+        raise GrammarError("hop tree nests too deeply") from None
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise GrammarError("malformed plan document (%s: %s)"
                            % (type(exc).__name__, exc)) from None
@@ -208,12 +171,17 @@ def dump_schedule(schedule: Schedule) -> str:
 def load_vectors(text: str) -> list:
     """Vector file: list of {message_hex, message_bit_length, out_len_bits,
     digest_hex}."""
-    rows = json.loads(text)
+    try:
+        rows = json.loads(text)
+    except ValueError as exc:
+        raise GrammarError("vector file is not JSON (%s)" % exc) from None
     if not isinstance(rows, list):
-        raise ValueError("vector file must hold a list")
+        raise GrammarError("vector file must hold a list")
     for row in rows:
+        if not isinstance(row, dict):
+            raise GrammarError("vector entry must be an object")
         for key in ("message_hex", "message_bit_length", "out_len_bits",
                     "digest_hex"):
             if key not in row:
-                raise ValueError("vector entry is missing %r" % key)
+                raise GrammarError("vector entry is missing %r" % key)
     return rows

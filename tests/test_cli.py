@@ -1,12 +1,18 @@
 """Command-line behaviour: stable output, exit codes, emitted files."""
 
+import copy
 import hashlib
 import json
+import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parashake import planner, treeio
 from parashake.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -81,7 +87,7 @@ def test_plan_stdout_roundtrip(capsys):
                            "--strategy", "ternary")
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["nodes"]) == 3
+    assert doc["report"]["node_count"] == 3
     assert treeio.dump_plan(treeio.load_plan(out)) == out
 
 
@@ -114,17 +120,15 @@ def test_analyze_rejects_corrupted_plan(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "plan", "--size-bits", "9819",
                            "--strategy", "ternary")
     doc = json.loads(out)
-    # point a chaining-value slot of the final node at the final node
-    final = doc["nodes"][-1]
-    for seg in final["segments"]:
-        if seg["kind"] == "cv":
-            seg["producer"] = final["id"]
-            break
+    # shift the first message hop by one bit: the rebuilt node tree then
+    # leaves a gap in the message
+    row = next(h for h in doc["hops"] if h["kind"] == "message")
+    row["offset_bits"] += 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "analyze", "--plan", str(bad))
     assert code == 1
-    assert "plan-valid: no" in out
+    assert out == "plan-valid: no (message gap or overlap at bit 0)\n"
 
 
 def test_selftest_quick(capsys):
@@ -171,14 +175,18 @@ def _string_length(doc):
     row["length_bits"] = str(row["length_bits"])
 
 
+def _string_node_count(doc):
+    doc["report"]["node_count"] = str(doc["report"]["node_count"])
+
+
 @pytest.mark.parametrize("make_text", [
     lambda: "not json",
     lambda: "[]",
-    lambda: '{"schema": "sakura-plan/1", "message_bits": 5}',
-    lambda: _plan_doc(lambda doc: doc["nodes"][0].pop("segments")),
-    lambda: _plan_doc(lambda doc: doc.update(nodes="x")),
+    lambda: '{"schema": "sakura-plan/2", "message_bits": 5}',
+    lambda: _plan_doc(lambda doc: doc.update(hops="x")),
+    lambda: _plan_doc(_string_node_count),
     lambda: _plan_doc(_string_length),
-], ids=["not-json", "list", "no-hops", "no-segments", "nodes-string",
+], ids=["not-json", "list", "no-hops", "hops-string", "node-count-string",
         "string-length"])
 def test_malformed_plan_is_reported(capsys, tmp_path, make_text):
     path = tmp_path / "plan.json"
@@ -187,3 +195,120 @@ def test_malformed_plan_is_reported(capsys, tmp_path, make_text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_swapped_version_1_node_list_is_reported(capsys, tmp_path):
+    # a sakura-plan/1 document lists the nodes next to the hops; swapping
+    # two equal-length message slices there describes another function
+    text = (DATA / "plan_v1_ternary_9819.json").read_text()
+    doc = json.loads(text)
+    first, second = [s for node in doc["nodes"] for s in node["segments"]
+                     if s["kind"] == "message"
+                     and s["length_bits"] == 1081][:2]
+    first["offset_bits"], second["offset_bits"] = (second["offset_bits"],
+                                                   first["offset_bits"])
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: node list disagrees with the hop tree\n"
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code == 0
+    assert "plan-valid: yes" in out
+
+
+def test_deep_plan_is_reported(capsys, tmp_path):
+    # each chaining hop has children [next hop, message hop]
+    depth = 1500
+    hops = []
+    for d in range(depth):
+        index = [0] * d
+        hops.append({"index": index, "kind": "chaining",
+                     "kangaroo_first_child": True, "aligned": False,
+                     "child_count": 2})
+        hops.append({"index": index + [1], "kind": "message",
+                     "offset_bits": d + 1, "length_bits": 1})
+    hops.append({"index": [0] * depth, "kind": "message",
+                 "offset_bits": 0, "length_bits": 1})
+    report = {"strategy": "ternary", "model_id": None,
+              "message_bits": depth + 1, "predicted_depth": 1,
+              "predicted_processors": 1, "tree_height": depth,
+              "node_count": depth + 1}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"schema": "sakura-plan/2",
+                                "compaction": "aligned",
+                                "message_bits": depth + 1,
+                                "report": report, "hops": hops}))
+    code, out, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: hop tree nests too deeply\n"
+
+
+@pytest.mark.parametrize("out_bits", ["0", "-1", "-7000"])
+def test_analyze_rejects_bad_out_bits(capsys, tmp_path, out_bits):
+    sched_path = tmp_path / "sched.json"
+    code, out, err = run_cli(capsys, "analyze", "--size-bits", "100",
+                             "--out-bits", out_bits, "--emit-schedule",
+                             str(sched_path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: output length must be positive\n"
+    assert not sched_path.exists()
+
+
+_FUZZ_DOC = json.loads(treeio.dump_plan(planner.plan("ternary", 9819)))
+
+
+def _json_paths(value, path=()):
+    """Yield (path, value) for every value nested in a JSON value."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _json_paths(child, path + (key,))
+
+
+_PATHS = list(_json_paths(_FUZZ_DOC))
+_KEY_PATHS = [p for p, _ in _PATHS if isinstance(p[-1], str)]
+_INT_PATHS = [p for p, v in _PATHS
+              if p[0] in ("hops", "report") and type(v) is int]
+_SAMPLES = (None, True, 7, 2.5, "x", [], {})
+
+
+@st.composite
+def _mutated_plans(draw):
+    doc = copy.deepcopy(_FUZZ_DOC)
+    kind = draw(st.sampled_from(["delete", "retype", "integer"]))
+    paths = {"delete": _KEY_PATHS, "retype": [p for p, _ in _PATHS],
+             "integer": _INT_PATHS}[kind]
+    path = draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "retype":
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in _SAMPLES if type(v) is not type(old)]))
+    else:
+        parent[path[-1]] = draw(st.integers().filter(lambda v: v != old))
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_mutated_plans())
+def test_mutated_plan_never_escapes(capsys, tmp_path, text):
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")

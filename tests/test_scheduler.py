@@ -4,7 +4,7 @@ import pytest
 
 from oracles import longest_path_depth, rigid_schedule
 from parashake import planner, scheduler
-from parashake.errors import DependencyCycleError
+from parashake.errors import DependencyCycleError, OutputLengthError
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
                               map_hop_tree_to_node_tree)
 from parashake.scheduler import simulate, validate_happens_before
@@ -120,6 +120,13 @@ def test_squeeze_charged_to_final_node():
     assert long.total_calls == base.total_calls + 3
     frag = fragment(planner.build_model_subtree(2, 0, 3273), 3273)
     assert simulate(frag, out_bits=4096).squeeze_calls == 0
+
+
+@pytest.mark.parametrize("out_bits", [0, -1, -7000])
+def test_output_length_must_be_positive(out_bits):
+    tree = fragment(MessageHop(0, 500), 500, as_final=True)
+    with pytest.raises(OutputLengthError, match="must be positive"):
+        simulate(tree, out_bits)
 
 
 def test_work_totals(rng):

@@ -1,12 +1,12 @@
 """Wire formats: canonical dumps, lossless loads, defect detection."""
 
 import json
+import pathlib
 
 import pytest
 
 from parashake import planner, scheduler, treeio
 from parashake.errors import GrammarError
-from parashake.sakura import validate_node_tree
 
 
 def test_plan_roundtrip_is_byte_identical():
@@ -18,41 +18,37 @@ def test_plan_roundtrip_is_byte_identical():
         assert text == again, strategy
 
 
+SIZES = (0, 1, 2170, 2171, 3275, 29457, 10**5)
+DATA = pathlib.Path(__file__).parent / "data"
+
+
 def test_loaded_plan_equals_original():
-    plan = planner.plan("ternary", 29457)
-    loaded = treeio.load_plan(treeio.dump_plan(plan))
-    assert loaded.node_tree == plan.node_tree
-    assert loaded.hop_tree == plan.hop_tree
-    assert loaded.report == plan.report
+    for strategy in planner.STRATEGIES:
+        for n in SIZES:
+            plan = planner.plan(strategy, n)
+            text = treeio.dump_plan(plan)
+            loaded = treeio.load_plan(text)
+            assert loaded.hop_tree == plan.hop_tree, (strategy, n)
+            assert loaded.node_tree == plan.node_tree, (strategy, n)
+            assert loaded.report == plan.report, (strategy, n)
+            assert treeio.dump_plan(loaded) == text, (strategy, n)
 
 
 def test_plan_document_shape():
     plan = planner.plan("compacted", 9884)
     doc = json.loads(treeio.dump_plan(plan))
-    assert doc["schema"] == "sakura-plan/1"
+    assert doc["schema"] == "sakura-plan/2"
+    assert set(doc) == {"schema", "compaction", "message_bits", "report",
+                        "hops"}
     assert doc["compaction"] == "compacted"
     assert doc["message_bits"] == 9884
-    kinds = {s["kind"] for node in doc["nodes"] for s in node["segments"]}
-    assert kinds <= {"message", "frame", "cv", "align_pad"}
-    assert "align_pad" not in kinds
+    assert doc["report"]["node_count"] == plan.node_tree.node_count
     # hop indices: the final hop has the empty index
     indexes = [tuple(h["index"]) for h in doc["hops"]]
     assert () in set(indexes)
     for idx in indexes:
         if idx:
             assert idx[:-1] in set(indexes)
-
-
-def test_aligned_plan_document_has_align_pads():
-    plan = planner.plan("ternary", 29457)
-    doc = json.loads(treeio.dump_plan(plan))
-    kinds = {s["kind"] for node in doc["nodes"] for s in node["segments"]}
-    assert "align_pad" in kinds
-    for node in doc["nodes"]:
-        for seg in node["segments"]:
-            if seg["kind"] == "align_pad":
-                assert seg["bits"][0] == "1"
-                assert set(seg["bits"][1:]) <= {"0"}
 
 
 def test_load_rejects_bad_documents():
@@ -62,30 +58,42 @@ def test_load_rejects_bad_documents():
     with pytest.raises(GrammarError):
         treeio.load_plan(json.dumps(broken))
     broken = json.loads(treeio.dump_plan(plan))
-    broken["nodes"][0]["bits"] = 17
-    with pytest.raises(GrammarError):
+    broken["report"]["node_count"] = 2
+    with pytest.raises(GrammarError, match="report disagrees"):
+        treeio.load_plan(json.dumps(broken))
+    broken = json.loads(treeio.dump_plan(plan))
+    broken["report"]["message_bits"] = 101
+    with pytest.raises(GrammarError, match="report disagrees"):
         treeio.load_plan(json.dumps(broken))
     broken = json.loads(treeio.dump_plan(plan))
     broken["hops"] = []
     with pytest.raises(GrammarError):
         treeio.load_plan(json.dumps(broken))
+    broken = json.loads(treeio.dump_plan(plan))
+    broken["compaction"] = "sparse"
+    with pytest.raises(GrammarError):
+        treeio.load_plan(json.dumps(broken))
+
+
+@pytest.mark.parametrize("strategy", ["ternary", "compacted"])
+def test_version_1_document_loads_to_the_same_plan(strategy):
+    # written by the planner before plan documents dropped the node list
+    text = (DATA / ("plan_v1_%s_9819.json" % strategy)).read_text()
+    assert json.loads(text)["schema"] == "sakura-plan/1"
+    loaded = treeio.load_plan(text)
+    assert loaded == planner.plan(strategy, 9819)
+    assert loaded == treeio.load_plan(treeio.dump_plan(loaded))
 
 
 def test_forward_reference_fails_validation():
-    plan = planner.plan("ternary", 9819)
-    doc = json.loads(treeio.dump_plan(plan))
-    for seg in doc["nodes"][0]["segments"]:
-        if seg["kind"] == "cv":
-            seg["producer"] = len(doc["nodes"]) - 1
-    # node 0 has no cv segments in this plan; point one of the final
-    # node's slots at itself instead
+    doc = json.loads((DATA / "plan_v1_ternary_9819.json").read_text())
+    # point one of the final node's slots at the final node itself
     for seg in doc["nodes"][-1]["segments"]:
         if seg["kind"] == "cv":
             seg["producer"] = len(doc["nodes"]) - 1
             break
-    loaded = treeio.load_plan(json.dumps(doc))
-    ok, why = validate_node_tree(loaded.node_tree)
-    assert not ok and "earlier" in why
+    with pytest.raises(GrammarError, match="node list disagrees"):
+        treeio.load_plan(json.dumps(doc))
 
 
 def test_schedule_document():
@@ -110,3 +118,7 @@ def test_vector_loader():
         treeio.load_vectors('{"not": "a list"}')
     with pytest.raises(ValueError):
         treeio.load_vectors('[{"message_hex": ""}]')
+    with pytest.raises(ValueError):
+        treeio.load_vectors('[{"message_hex": "", ')
+    with pytest.raises(GrammarError):
+        treeio.load_vectors('not json')
