@@ -104,7 +104,7 @@ def cmd_plan(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.plan is not None:
-        with open(args.plan) as f:
+        with open(args.plan, "rb") as f:
             plan = treeio.load_plan(f.read())
     else:
         plan = planner.plan(args.strategy, _plan_size(args))
@@ -126,11 +126,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    vectors_text = None
+    vectors = None
     if args.vectors:
-        with open(args.vectors) as f:
-            vectors_text = f.read()
-    results = selftest.run_all(quick=args.quick, vectors_text=vectors_text)
+        with open(args.vectors, "rb") as f:
+            vectors = treeio.load_vectors(f.read())
+    results = selftest.run_all(quick=args.quick, vectors=vectors)
     failures = 0
     for name, ok, detail in results:
         print("%s: %s (%s)" % (name, "PASS" if ok else "FAIL", detail))

@@ -113,8 +113,9 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
                       max_workers: int | None = None) -> Digest:
     """Thread-pool evaluation in dependency waves.
 
-    With the compiled kernel the permutation releases the GIL, so
-    independent nodes genuinely overlap.  The digest is identical to the
+    The kernel is pure Python and holds the GIL, so the threads only
+    contend for it: independent nodes do not overlap and this path is
+    no faster than `evaluate_sequential`.  The digest is identical to the
     sequential path by construction; this is asserted by the
     differential suite, not assumed.
     """

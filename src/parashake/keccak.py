@@ -1,54 +1,185 @@
 """Keccak-f[1600], the unit of time for every cost in this package.
 
-A compiled kernel is preferred when present; a pure-Python fallback is
-selected at import time otherwise.  Set PARASHAKE_BACKEND=py (or =c) to
-force a backend.
+A pure-Python kernel.  The state is a 200-byte buffer holding 25 lanes
+of 64 bits, little-endian, lane index x + 5*y.
+
+The permutation is straight-line code over 25 local lane variables
+``a0``..``a24`` (``a{x+5y}``), in the lane-local style of the Keccak
+team's "readable-and-compact" code (XKCP) and Saarinen's tiny_sha3.  One
+round of the 24-round loop is:
+
+* theta: column parities ``c0``..``c4`` and their effects ``d0``..``d4``;
+* theta's XOR, rho and pi as one step per lane,
+  ``b{y+5((2x+3y)%5)} = rotl(a{x+5y} ^ d{x}, r)``, the 25 lines ordered
+  by destination and each rotation offset ``r`` written as a constant;
+* chi and iota back into the ``a`` lanes.
+
+There are no lists and no index arithmetic inside the round, and every
+intermediate is a non-negative int below 2**64: chi's
+``b0 ^ (~b1 & b2)`` is written as ``b0 ^ b1 ^ (b1 | b2)``, the same
+value without a negative operand.  Unrolling the round loop makes
+CPython no faster, so it stays a loop.
+
+`permute` unpacks the buffer once and packs it once; `absorb_blocks`
+keeps the lanes as ints across all blocks and packs the state once at
+the end.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import sys
 
-from . import _keccak_py
-from .bits import BitString
-
+BACKEND = "python"
 STATE_BITS = 1600
-LANE_COUNT = 25
-ROUNDS = 24
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+_RC = (
+    0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
+    0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
+    0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
+    0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
+    0x000000008000808B, 0x800000000000008B, 0x8000000000008089,
+    0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
+    0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
+    0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
+)
+
+_STATE = struct.Struct("<25Q")
 
 
-def _resolve_backend(choice: str):
-    if choice in ("py", "python"):
-        return _keccak_py, "python"
-    if choice not in ("auto", "c"):
-        raise ValueError("backend must be auto, c or py")
-    # The compiled kernel assumes little-endian lane storage.
-    if sys.byteorder == "little":
-        try:
-            from . import _keccak_cy
-            return _keccak_cy, "c"
-        except ImportError:
-            pass
-    if choice == "c":
-        raise ImportError("compiled keccak kernel requested but not available")
-    return _keccak_py, "python"
+def _f1600(s: list) -> None:
+    """Keccak-f[1600] in place on a list of 25 lanes."""
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = s
+    for rc in _RC:
+        # theta
+        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
+        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
+        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
+        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
+        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
+        d0 = c4 ^ ((c1 << 1 | c1 >> 63) & _MASK)
+        d1 = c0 ^ ((c2 << 1 | c2 >> 63) & _MASK)
+        d2 = c1 ^ ((c3 << 1 | c3 >> 63) & _MASK)
+        d3 = c2 ^ ((c4 << 1 | c4 >> 63) & _MASK)
+        d4 = c3 ^ ((c0 << 1 | c0 >> 63) & _MASK)
+        # theta's XOR, rho and pi
+        b0 = a0 ^ d0
+        t = a6 ^ d1
+        b1 = (t << 44 | t >> 20) & _MASK
+        t = a12 ^ d2
+        b2 = (t << 43 | t >> 21) & _MASK
+        t = a18 ^ d3
+        b3 = (t << 21 | t >> 43) & _MASK
+        t = a24 ^ d4
+        b4 = (t << 14 | t >> 50) & _MASK
+        t = a3 ^ d3
+        b5 = (t << 28 | t >> 36) & _MASK
+        t = a9 ^ d4
+        b6 = (t << 20 | t >> 44) & _MASK
+        t = a10 ^ d0
+        b7 = (t << 3 | t >> 61) & _MASK
+        t = a16 ^ d1
+        b8 = (t << 45 | t >> 19) & _MASK
+        t = a22 ^ d2
+        b9 = (t << 61 | t >> 3) & _MASK
+        t = a1 ^ d1
+        b10 = (t << 1 | t >> 63) & _MASK
+        t = a7 ^ d2
+        b11 = (t << 6 | t >> 58) & _MASK
+        t = a13 ^ d3
+        b12 = (t << 25 | t >> 39) & _MASK
+        t = a19 ^ d4
+        b13 = (t << 8 | t >> 56) & _MASK
+        t = a20 ^ d0
+        b14 = (t << 18 | t >> 46) & _MASK
+        t = a4 ^ d4
+        b15 = (t << 27 | t >> 37) & _MASK
+        t = a5 ^ d0
+        b16 = (t << 36 | t >> 28) & _MASK
+        t = a11 ^ d1
+        b17 = (t << 10 | t >> 54) & _MASK
+        t = a17 ^ d2
+        b18 = (t << 15 | t >> 49) & _MASK
+        t = a23 ^ d3
+        b19 = (t << 56 | t >> 8) & _MASK
+        t = a2 ^ d2
+        b20 = (t << 62 | t >> 2) & _MASK
+        t = a8 ^ d3
+        b21 = (t << 55 | t >> 9) & _MASK
+        t = a14 ^ d4
+        b22 = (t << 39 | t >> 25) & _MASK
+        t = a15 ^ d0
+        b23 = (t << 41 | t >> 23) & _MASK
+        t = a21 ^ d1
+        b24 = (t << 2 | t >> 62) & _MASK
+        # chi and iota
+        a0 = b0 ^ b1 ^ (b1 | b2) ^ rc
+        a1 = b1 ^ b2 ^ (b2 | b3)
+        a2 = b2 ^ b3 ^ (b3 | b4)
+        a3 = b3 ^ b4 ^ (b4 | b0)
+        a4 = b4 ^ b0 ^ (b0 | b1)
+        a5 = b5 ^ b6 ^ (b6 | b7)
+        a6 = b6 ^ b7 ^ (b7 | b8)
+        a7 = b7 ^ b8 ^ (b8 | b9)
+        a8 = b8 ^ b9 ^ (b9 | b5)
+        a9 = b9 ^ b5 ^ (b5 | b6)
+        a10 = b10 ^ b11 ^ (b11 | b12)
+        a11 = b11 ^ b12 ^ (b12 | b13)
+        a12 = b12 ^ b13 ^ (b13 | b14)
+        a13 = b13 ^ b14 ^ (b14 | b10)
+        a14 = b14 ^ b10 ^ (b10 | b11)
+        a15 = b15 ^ b16 ^ (b16 | b17)
+        a16 = b16 ^ b17 ^ (b17 | b18)
+        a17 = b17 ^ b18 ^ (b18 | b19)
+        a18 = b18 ^ b19 ^ (b19 | b15)
+        a19 = b19 ^ b15 ^ (b15 | b16)
+        a20 = b20 ^ b21 ^ (b21 | b22)
+        a21 = b21 ^ b22 ^ (b22 | b23)
+        a22 = b22 ^ b23 ^ (b23 | b24)
+        a23 = b23 ^ b24 ^ (b24 | b20)
+        a24 = b24 ^ b20 ^ (b20 | b21)
+    s[:] = (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
+            a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
 
 
-def set_backend(choice: str) -> str:
-    """Rebind the kernel; returns the selected backend name."""
-    global _impl, BACKEND, permute, absorb_blocks
-    _impl, BACKEND = _resolve_backend(choice)
-    permute = _impl.permute
-    absorb_blocks = _impl.absorb_blocks
-    return BACKEND
+def permute(state: bytearray) -> None:
+    """Apply Keccak-f[1600] in place to a 200-byte state buffer."""
+    lanes = list(_STATE.unpack(state))
+    _f1600(lanes)
+    _STATE.pack_into(state, 0, *lanes)
 
 
-_impl, BACKEND = _resolve_backend(os.environ.get("PARASHAKE_BACKEND", "auto"))
+def absorb_blocks(state: bytearray, data: bytes, rate_bytes: int) -> int:
+    """XOR rate-sized blocks into the state, permuting after each.
 
-permute = _impl.permute
-absorb_blocks = _impl.absorb_blocks
+    `state` must be 200 bytes, `rate_bytes` in 1..200 and `data` an exact
+    multiple of `rate_bytes`; returns the number of permutation calls
+    performed.
+    """
+    if len(state) != 200:
+        raise ValueError("state must be 200 bytes")
+    if not 0 < rate_bytes <= 200:
+        raise ValueError("rate must be 1..200 bytes")
+    nblocks, rem = divmod(len(data), rate_bytes)
+    if rem:
+        raise ValueError("data is not a whole number of blocks")
+    if not nblocks:
+        return 0
+    whole, part = divmod(rate_bytes, 8)
+    words = struct.Struct("<%dQ" % whole)
+    lanes = list(_STATE.unpack(state))
+    for off in range(0, len(data), rate_bytes):
+        for i, w in enumerate(words.unpack_from(data, off)):
+            lanes[i] ^= w
+        if part:
+            tail = off + 8 * whole
+            lanes[whole] ^= int.from_bytes(data[tail:off + rate_bytes],
+                                           "little")
+        _f1600(lanes)
+    _STATE.pack_into(state, 0, *lanes)
+    return nblocks
 
 
 def keccak_f(lanes) -> list:
@@ -56,24 +187,6 @@ def keccak_f(lanes) -> list:
 
     Pure function: returns a new list, the input is unchanged.
     """
-    buf = bytearray(struct.pack("<25Q", *lanes))
+    buf = bytearray(_STATE.pack(*lanes))
     permute(buf)
-    return list(struct.unpack("<25Q", buf))
-
-
-def state_from_bits(bits: BitString) -> list:
-    """FIPS 202 mapping of a 1600-bit string onto the lane grid."""
-    if len(bits) != STATE_BITS:
-        raise ValueError("state must be exactly 1600 bits")
-    mask = (1 << 64) - 1
-    return [(bits.value >> (64 * i)) & mask for i in range(LANE_COUNT)]
-
-
-def state_to_bits(lanes) -> BitString:
-    """Inverse of `state_from_bits`."""
-    value = 0
-    for i, lane in enumerate(lanes):
-        if lane >> 64:
-            raise ValueError("lane wider than 64 bits")
-        value |= lane << (64 * i)
-    return BitString(value, STATE_BITS)
+    return list(_STATE.unpack(buf))

@@ -37,9 +37,11 @@ def default_vectors_text() -> str:
 
 
 @_suite
-def suite_shake_vectors(vectors_text: str | None = None):
-    """Known-answer vectors for the standard SHAKE256 path."""
-    rows = treeio.load_vectors(vectors_text or default_vectors_text())
+def suite_shake_vectors(rows: list | None = None):
+    """Known-answer vectors for the standard SHAKE256 path; `rows` as
+    `treeio.load_vectors` returns them, the packaged file by default."""
+    if rows is None:
+        rows = treeio.load_vectors(default_vectors_text())
     for i, row in enumerate(rows):
         message = BitString.from_bytes(bytes.fromhex(row["message_hex"]),
                                        row["message_bit_length"])
@@ -201,11 +203,11 @@ def suite_select_model(samples: int = 60):
     return True, "%d samples" % len(ns)
 
 
-def run_all(quick: bool = False, vectors_text: str | None = None) -> list:
+def run_all(quick: bool = False, vectors: list | None = None) -> list:
     """Run every suite; returns [(name, ok, detail), ...]."""
     scale = 1 if not quick else 0
     results = [
-        ("shake-vectors", *suite_shake_vectors(vectors_text)),
+        ("shake-vectors", *suite_shake_vectors(vectors)),
         ("model-table", *suite_model_table()),
         ("ternary-sweep", *suite_ternary_sweep(40 if scale else 8)),
         ("compacted-sweep", *suite_compacted_sweep(40 if scale else 8)),

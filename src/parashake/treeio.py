@@ -8,15 +8,17 @@ alpha + [i-1]).  The node tree is not stored: loading rebuilds it with
 and rejects a report whose node count or message length differs from
 the rebuilt tree.  sakura-plan/1 documents, which also list the nodes
 (ordered segment lists; frame and pad bits as 0/1 strings), are still
-read; their node list must equal the rebuilt one.  Dumping is canonical
-and writes /2 only, so load followed by dump of a /2 document is
-byte-identical.
+read; their node list must equal the rebuilt one.  Every field read
+must have the type the dump writes (`true` is not an integer and `9.0`
+is not `9`).  Dumping is canonical and writes /2 only, so a /2 document
+that loads dumps back to its own canonical JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 
 from .errors import GrammarError, TreeHashError
 from .planner import Plan, PlanReport
@@ -32,6 +34,16 @@ SCHEDULE_SCHEMA = "sakura-schedule/1"
 
 def _dump(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _field(row: dict, key: str, *types):
+    """`row[key]`, whose type must be exactly one of `types`: a bool is
+    not an int and a float is neither."""
+    value = row[key]
+    if type(value) not in types:
+        raise GrammarError("%s must be %s, not %r" % (
+            key, " or ".join(t.__name__ for t in types), value))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +70,32 @@ def _hops_to_json(tree: HopTree) -> list:
 
 
 def _hops_from_json(rows: list, message_bits: int) -> HopTree:
-    by_index = {tuple(r["index"]): r for r in rows}
+    by_index = {}
+    for row in rows:
+        index = _field(row, "index", list)
+        if any(type(i) is not int for i in index):
+            raise GrammarError("index must hold ints, not %r" % (index,))
+        by_index[tuple(index)] = row
     if () not in by_index:
         raise GrammarError("plan document has no final hop")
 
     def build(index):
         row = by_index[index]
         if row["kind"] == "message":
-            return MessageHop(row["offset_bits"], row["length_bits"])
+            return MessageHop(_field(row, "offset_bits", int),
+                              _field(row, "length_bits", int))
         if row["kind"] != "chaining":
             raise GrammarError("unknown hop kind %r" % row["kind"])
         children = []
-        for i in range(row["child_count"]):
+        for i in range(_field(row, "child_count", int)):
             child_index = index + (i,)
             if child_index not in by_index:
                 raise GrammarError("hop %r is missing child %d" % (index, i))
             children.append(build(child_index))
-        return ChainingHop(tuple(children),
-                           kangaroo_first=row["kangaroo_first_child"],
-                           aligned=row["aligned"])
+        return ChainingHop(
+            tuple(children),
+            kangaroo_first=_field(row, "kangaroo_first_child", bool),
+            aligned=_field(row, "aligned", bool))
 
     tree = HopTree(build(()), message_bits)
     if len(rows) != sum(1 for _ in iter_hops(tree)):
@@ -117,19 +136,23 @@ def dump_plan(plan: Plan) -> str:
     return _dump(doc)
 
 
-def load_plan(text: str) -> Plan:
+def load_plan(text: str | bytes) -> Plan:
     """Parse a plan document and rebuild its node tree from the hop tree;
-    any malformed or inconsistent document raises `TreeHashError`."""
+    any malformed, wrongly typed or inconsistent document raises
+    `TreeHashError`."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("schema") not in (
                 PLAN_SCHEMA, PLAN_SCHEMA_1):
             raise GrammarError("not a %s document" % PLAN_SCHEMA)
-        message_bits = doc["message_bits"]
+        message_bits = _field(doc, "message_bits", int)
         compaction = doc["compaction"]
         hop_tree = _hops_from_json(doc["hops"], message_bits)
         node_tree = map_hop_tree_to_node_tree(hop_tree, compaction)
-        report = PlanReport(**doc["report"])
+        row = doc["report"]
+        for key, hint in typing.get_type_hints(PlanReport).items():
+            _field(row, key, *(typing.get_args(hint) or (hint,)))
+        report = PlanReport(**row)
         if (report.node_count != node_tree.node_count
                 or report.message_bits != message_bits):
             raise GrammarError("report disagrees with the hop tree")
@@ -168,7 +191,7 @@ def dump_schedule(schedule: Schedule) -> str:
 # ---------------------------------------------------------------------------
 # test vectors
 
-def load_vectors(text: str) -> list:
+def load_vectors(text: str | bytes) -> list:
     """Vector file: list of {message_hex, message_bit_length, out_len_bits,
     digest_hex}."""
     try:

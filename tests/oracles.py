@@ -11,6 +11,7 @@ import random
 
 import networkx as nx
 
+from parashake.bits import BitString
 from parashake.sakura import RATE_BITS, NodeTree
 from parashake.scheduler import NodeTiming, Schedule
 
@@ -71,6 +72,24 @@ def keccak_f1600_bitwise(state_bits: list) -> list:
             a[0][0][z] ^= bit
     return [a[x][y][z]
             for y in range(5) for x in range(5) for z in range(w)]
+
+
+def state_from_bits(bits: BitString) -> list:
+    """FIPS 202 mapping of a 1600-bit string onto the 25 lanes."""
+    if len(bits) != 1600:
+        raise ValueError("state must be exactly 1600 bits")
+    mask = (1 << 64) - 1
+    return [(bits.value >> (64 * i)) & mask for i in range(25)]
+
+
+def state_to_bits(lanes) -> BitString:
+    """Inverse of `state_from_bits`."""
+    value = 0
+    for i, lane in enumerate(lanes):
+        if lane >> 64:
+            raise ValueError("lane wider than 64 bits")
+        value |= lane << (64 * i)
+    return BitString(value, 1600)
 
 
 # ---------------------------------------------------------------------------

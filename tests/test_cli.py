@@ -170,13 +170,32 @@ def _plan_doc(mutate) -> str:
     return json.dumps(doc)
 
 
-def _string_length(doc):
-    row = next(h for h in doc["hops"] if h["kind"] == "message")
-    row["length_bits"] = str(row["length_bits"])
+def _message_field(key, convert):
+    def mutate(doc):
+        row = next(h for h in doc["hops"] if h["kind"] == "message")
+        row[key] = convert(row[key])
+    return mutate
 
 
 def _string_node_count(doc):
     doc["report"]["node_count"] = str(doc["report"]["node_count"])
+
+
+def _chaining_field(key, value):
+    def mutate(doc):
+        row = next(h for h in doc["hops"] if h["kind"] == "chaining")
+        row[key] = value
+    return mutate
+
+
+def _index(old, new):
+    def mutate(doc):
+        next(h for h in doc["hops"] if h["index"] == old)["index"] = new
+    return mutate
+
+
+def _report_field(key, value):
+    return lambda doc: doc["report"].update({key: value})
 
 
 @pytest.mark.parametrize("make_text", [
@@ -185,13 +204,41 @@ def _string_node_count(doc):
     lambda: '{"schema": "sakura-plan/2", "message_bits": 5}',
     lambda: _plan_doc(lambda doc: doc.update(hops="x")),
     lambda: _plan_doc(_string_node_count),
-    lambda: _plan_doc(_string_length),
+    lambda: _plan_doc(_message_field("length_bits", str)),
+    lambda: _plan_doc(_chaining_field("aligned", "yes")),
+    lambda: _plan_doc(_chaining_field("aligned", 1)),
+    lambda: _plan_doc(_chaining_field("aligned", 0)),
+    lambda: _plan_doc(_chaining_field("kangaroo_first_child", "no")),
+    lambda: _plan_doc(lambda doc: doc.update(message_bits=9819.0)),
+    lambda: _plan_doc(_report_field("message_bits", 9819.0)),
+    lambda: _plan_doc(_message_field("offset_bits", float)),
+    lambda: _plan_doc(_message_field("length_bits", float)),
+    lambda: _plan_doc(_index([1], [True])),
+    lambda: _plan_doc(_index([], {})),
+    lambda: _plan_doc(_report_field("node_count", 9.0)),
+    lambda: _plan_doc(_report_field("predicted_depth", "x")),
 ], ids=["not-json", "list", "no-hops", "hops-string", "node-count-string",
-        "string-length"])
+        "string-length", "aligned-string", "aligned-1", "aligned-0",
+        "kangaroo-string", "message-bits-float", "report-message-bits-float",
+        "offset-float", "length-float", "index-true", "index-object",
+        "node-count-float", "predicted-depth-string"])
 def test_malformed_plan_is_reported(capsys, tmp_path, make_text):
     path = tmp_path / "plan.json"
     path.write_text(make_text())
     code, out, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--plan"],
+    ["selftest", "--quick", "--vectors"],
+], ids=["analyze", "selftest"])
+def test_non_utf8_file_is_reported(capsys, tmp_path, command):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    code, out, err = run_cli(capsys, *command, str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -312,3 +359,8 @@ def test_mutated_plan_never_escapes(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "analyze", "--plan", str(path))
     assert code in (0, 1, 2)
     assert (code == 2) == err.startswith("error: ")
+    if code != 2:
+        # a document that loads is canonical: it dumps back unchanged
+        canonical = json.dumps(json.loads(text), indent=2,
+                               sort_keys=True) + "\n"
+        assert treeio.dump_plan(treeio.load_plan(text)) == canonical

@@ -1,16 +1,14 @@
-"""Permutation correctness: bit-level reference, backend agreement,
+"""Permutation correctness: bit-level reference, block absorption,
 bijectivity and determinism."""
-
-import random
 
 import pytest
 
-from oracles import keccak_f1600_bitwise
-from parashake import _keccak_py, keccak
+from oracles import keccak_f1600_bitwise, state_from_bits, state_to_bits
+from parashake import keccak
 from parashake.bits import BitString
 
 # First lane of the permutation of the all-zero state, agreed by the
-# compiled kernel, the pure fallback and the bit-level reference below.
+# kernel and the bit-level reference below.
 ZERO_STATE_LANE0 = 0xF1258F7940E1DDE7
 
 
@@ -22,7 +20,7 @@ def test_zero_state_known_answer():
 def test_matches_bitwise_reference_on_zero_state():
     got = keccak.keccak_f([0] * 25)
     ref_bits = keccak_f1600_bitwise([0] * 1600)
-    ref = keccak.state_from_bits(BitString.from01("".join(map(str, ref_bits))))
+    ref = state_from_bits(BitString.from01("".join(map(str, ref_bits))))
     assert got == ref
 
 
@@ -30,21 +28,35 @@ def test_matches_bitwise_reference_on_random_states(rng):
     for _ in range(3):
         lanes = [rng.getrandbits(64) for _ in range(25)]
         got = keccak.keccak_f(lanes)
-        bits = keccak.state_to_bits(lanes)
+        bits = state_to_bits(lanes)
         ref_bits = keccak_f1600_bitwise([bits[i] for i in range(1600)])
-        ref = keccak.state_from_bits(
-            BitString.from01("".join(map(str, ref_bits))))
+        ref = state_from_bits(BitString.from01("".join(map(str, ref_bits))))
         assert got == ref
 
 
-def test_backends_agree(rng):
-    for _ in range(100):
-        state = bytearray(rng.randbytes(200))
-        a = bytearray(state)
-        b = bytearray(state)
-        _keccak_py.permute(a)
-        keccak.permute(b)
-        assert a == b
+def test_absorb_blocks_input_validation():
+    with pytest.raises(ValueError):
+        keccak.absorb_blocks(bytearray(100), b"\x00" * 136, 136)
+    with pytest.raises(ValueError):
+        keccak.absorb_blocks(bytearray(200), b"\x00" * 135, 136)
+    for rate in (0, -8, 201):
+        with pytest.raises(ValueError):
+            keccak.absorb_blocks(bytearray(200), b"", rate)
+    assert keccak.absorb_blocks(bytearray(200), b"", 136) == 0
+
+
+def test_absorb_blocks_match_per_block_reference(rng):
+    for rate in (8, 13, 72, 136, 168, 200):
+        start = rng.randbytes(200)
+        data = rng.randbytes(rate * 3)
+        ref = bytearray(start)
+        for off in range(0, len(data), rate):
+            for i in range(rate):
+                ref[i] ^= data[off + i]
+            keccak.permute(ref)
+        got = bytearray(start)
+        assert keccak.absorb_blocks(got, data, rate) == 3
+        assert got == ref, rate
 
 
 def test_deterministic():
@@ -71,32 +83,20 @@ def test_distinct_inputs_distinct_outputs():
 
 def test_bits_state_roundtrip(rng):
     bits = BitString(rng.getrandbits(1600), 1600)
-    assert keccak.state_to_bits(keccak.state_from_bits(bits)) == bits
+    assert state_to_bits(state_from_bits(bits)) == bits
 
 
 def test_bit_domain_commutes(rng):
     # bits -> state -> f -> bits equals f applied via the bit mapping
     lanes = [rng.getrandbits(64) for _ in range(25)]
-    bits = keccak.state_to_bits(lanes)
-    out_a = keccak.state_to_bits(keccak.keccak_f(lanes))
-    out_b = keccak.state_to_bits(keccak.keccak_f(keccak.state_from_bits(bits)))
+    bits = state_to_bits(lanes)
+    out_a = state_to_bits(keccak.keccak_f(lanes))
+    out_b = state_to_bits(keccak.keccak_f(state_from_bits(bits)))
     assert out_a == out_b
 
 
 def test_state_width_enforced():
     with pytest.raises(ValueError):
-        keccak.state_from_bits(BitString(0, 1599))
+        state_from_bits(BitString(0, 1599))
     with pytest.raises(ValueError):
-        keccak.state_to_bits([1 << 64] + [0] * 24)
-
-
-def test_set_backend_roundtrip():
-    original = keccak.BACKEND
-    try:
-        assert keccak.set_backend("py") == "python"
-        st = bytearray(200)
-        keccak.permute(st)
-        assert int.from_bytes(st[:8], "little") == ZERO_STATE_LANE0
-    finally:
-        keccak.set_backend(original)
-    assert keccak.BACKEND == original
+        state_to_bits([1 << 64] + [0] * 24)
