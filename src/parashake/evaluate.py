@@ -1,23 +1,24 @@
-"""Digest evaluation: the sequential reference path and a thread-pool
-executor that must agree with it bit for bit.
+"""Digest evaluation: the sequential reference path and the schedule-order
+path that must agree with it bit for bit.
 
 The tree shape is part of the function being computed: two strategies
 hashing the same message generally produce different digests.  Within a
-fixed tree, the digest is independent of evaluation order and of
-parallelism.  Both executors take the node order from the tree's
-dependency index (`NodeTree.deps`), so a reference to a node that is not
-an earlier one raises `DependencyCycleError` before any node is
-evaluated, and both run one node step: assemble the node's f-input, then
-`inner_f` for an inner node or `xof_output` for the final one.
-Scheduling metrics (depth, processors) come from the simulator, never
-from wall clocks.
+fixed tree, the digest is independent of evaluation order.  Both paths
+check their node order against the tree's dependency index
+(`NodeTree.deps`), so a reference to a node that is not an earlier one
+raises `DependencyCycleError` before any node is evaluated, and both run
+one node step: assemble the node's f-input, then `inner_f` for an inner
+node or `xof_output` for the final one.  `evaluate_parallel` takes its
+order from the simulated schedule and runs it on the calling thread; it
+starts no threads.  Scheduling metrics (depth, processors) come from the
+simulator, never from wall clocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import scheduler
 from .bits import BitString
 from .errors import DependencyCycleError, SliceRangeError
 from .sakura import (AlignPad, CVSlot, FrameBits, MessageBits, NodeLayout,
@@ -111,36 +112,18 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
                       out_bits: int = 512,
                       params: SpongeParams = DEFAULT_PARAMS,
                       max_workers: int | None = None) -> Digest:
-    """Thread-pool evaluation in dependency waves.
+    """Evaluate the nodes in the order of the simulated schedule: by
+    finish time, ties in node order, all on the calling thread.
 
-    The kernel is pure Python and holds the GIL, so the threads only
-    contend for it: independent nodes do not overlap and this path is
-    no faster than `evaluate_sequential`.  The digest is identical to the
-    sequential path by construction; this is asserted by the
-    differential suite, not assumed.
+    The order is topological: a block holding a chaining value ends at
+    least one unit after its producer finishes, so every consumer
+    finishes strictly later.  It is the order in which a parallel
+    machine completes the nodes.  `max_workers` is unused; it is still
+    accepted because callers pass it.
     """
-    if not tree.nodes[-1].is_final:
-        raise ValueError("tree has no final node")
-    rank = []
-    for node_deps in tree.deps:
-        rank.append(1 + max((rank[p] for _, p in node_deps), default=0))
-    waves = {}
-    for nid, r in enumerate(rank):
-        waves.setdefault(r, []).append(nid)
-
-    values = {}
-    calls = 0
-
-    def run(nid: int):
-        return _node_step(tree.nodes[nid], message, values, out_bits, params)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for r in sorted(waves):
-            wave = waves[r]
-            for nid, (value, used) in zip(wave, pool.map(run, wave)):
-                values[nid] = value
-                calls += used
-    return Digest(values[len(tree.nodes) - 1], calls)
+    finish = [t.finish for t in scheduler.simulate(tree, out_bits).timings]
+    order = sorted(range(len(finish)), key=finish.__getitem__)
+    return evaluate_sequential(tree, message, out_bits, params, order)
 
 
 def differential_check(tree: NodeTree, message: BitString,

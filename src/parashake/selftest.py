@@ -7,6 +7,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import json
 import random
 from importlib import resources
 
@@ -31,9 +32,12 @@ def _suite(fn):
     return run
 
 
+def _data_text(name: str) -> str:
+    return (resources.files("parashake") / "data" / name).read_text()
+
+
 def default_vectors_text() -> str:
-    return (resources.files("parashake") / "data" /
-            "shake256_vectors.json").read_text()
+    return _data_text("shake256_vectors.json")
 
 
 @_suite
@@ -137,6 +141,30 @@ def suite_differential(cases: int = 50):
 
 
 @_suite
+def suite_tree_digests(max_bits: int | None = None,
+                       out_bits: tuple = (256, 512, 4096)):
+    """Every strategy's digest of seeded messages against the recorded
+    goldens (`data/tree_digests.json`, one 4096-bit digest per strategy
+    and message length); each shorter output must be their prefix.  Rows
+    alternate between the two executors."""
+    doc = json.loads(_data_text("tree_digests.json"))
+    rows = [row for row in doc["digests"]
+            if max_bits is None or row["message_bits"] <= max_bits]
+    for i, row in enumerate(rows):
+        n = row["message_bits"]
+        message = BitString(random.Random(doc["seed"]).getrandbits(n), n)
+        tree = planner.plan(row["strategy"], n).node_tree
+        executor = (evaluate_sequential, evaluate_parallel)[i % 2]
+        for bits in out_bits:
+            got = executor(tree, message, bits).hex()
+            if got != row["digest_hex"][:bits // 4]:
+                return False, "%s, n=%d, %d bits differs" % (
+                    row["strategy"], n, bits)
+    return True, "%d digests at %s bits" % (
+        len(rows), "/".join(str(bits) for bits in out_bits))
+
+
+@_suite
 def suite_grammar(mutations: int = 200):
     rng = random.Random(_SEED + 1)
     plans = [planner.plan("ternary", 29457),
@@ -170,26 +198,46 @@ def suite_grammar(mutations: int = 200):
     return True, "%d mutations rejected" % mutations
 
 
+# (id, message bits, processors, time units), written out here, not read
+# from the planner, so that the cross-check is independent of it
+SUBTREE_TABLE = (
+    (0, 2169, 1, 2),
+    (1, 2704, 2, 2),
+    (2, 3273, 3, 2),
+    (3, 4880, 2, 3),
+    (4, 6537, 3, 3),
+    (5, 7106, 4, 3),
+    (6, 7675, 5, 3),
+    (7, 11458, 4, 4),
+    (8, 13115, 5, 4),
+    (9, 13684, 6, 4),
+    (10, 14253, 7, 4),
+)
+
+
 def brute_force_model_choice(n: int) -> int:
-    """Independent recomputation of the processor-minimizing choice."""
-    pow3 = [1]
-    while pow3[-1] < n:
-        pow3.append(3 * pow3[-1])
+    """Recompute the processor-minimizing model's candidate set and
+    scores from scratch, for n >= 3275."""
+    if n < 3275:
+        raise ValueError("model choice needs n >= 3275")
 
     def ceil_log3(x: int) -> int:
-        for h, p in enumerate(pow3):
-            if p >= x:
-                return h
-        raise AssertionError
+        h, p = 0, 1
+        while p < x:
+            p *= 3
+            h += 1
+        return h
 
-    # target depth from the 3273-bit template
-    t = next(h for h, p in enumerate(pow3) if p * 3273 >= n) + 2
-    candidates = []
-    for model in planner.model_table():
-        parts = -(-n // model.message_bits)
-        if ceil_log3(parts) + model.time_units == t:
-            candidates.append((parts * model.processors, model.id))
-    return min(candidates)[1]
+    def ceil_div(a: int, b: int) -> int:
+        return (a + b - 1) // b
+
+    target = ceil_log3(ceil_div(n, 3273)) + 2
+    scored = []
+    for mid, n_mb, n_p, t_units in SUBTREE_TABLE:
+        parts = ceil_div(n, n_mb)
+        if ceil_log3(parts) + t_units == target:
+            scored.append((parts * n_p, mid))
+    return min(scored)[1]
 
 
 @_suite
@@ -212,6 +260,8 @@ def run_all(quick: bool = False, vectors: list | None = None) -> list:
         ("ternary-sweep", *suite_ternary_sweep(40 if scale else 8)),
         ("compacted-sweep", *suite_compacted_sweep(40 if scale else 8)),
         ("differential", *suite_differential(50 if scale else 10)),
+        ("tree-digests", *(suite_tree_digests() if scale
+                           else suite_tree_digests(29457, (512,)))),
         ("grammar", *suite_grammar(200 if scale else 40)),
         ("select-model", *suite_select_model(60 if scale else 15)),
     ]

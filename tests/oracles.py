@@ -14,6 +14,8 @@ import networkx as nx
 from parashake.bits import BitString
 from parashake.sakura import RATE_BITS, NodeTree
 from parashake.scheduler import NodeTiming, Schedule
+# the model-choice brute force, with its own table, is the selftest's
+from parashake.selftest import brute_force_model_choice  # noqa: F401
 
 # ---------------------------------------------------------------------------
 # Bit-level Keccak-f[1600], following the step mappings over A[x][y][z].
@@ -90,48 +92,6 @@ def state_to_bits(lanes) -> BitString:
             raise ValueError("lane wider than 64 bits")
         value |= lane << (64 * i)
     return BitString(value, 1600)
-
-
-# ---------------------------------------------------------------------------
-# Brute-force processor-minimizing model choice, with its own table.
-
-# (id, message bits, processors, time units)
-SUBTREE_TABLE = (
-    (0, 2169, 1, 2),
-    (1, 2704, 2, 2),
-    (2, 3273, 3, 2),
-    (3, 4880, 2, 3),
-    (4, 6537, 3, 3),
-    (5, 7106, 4, 3),
-    (6, 7675, 5, 3),
-    (7, 11458, 4, 4),
-    (8, 13115, 5, 4),
-    (9, 13684, 6, 4),
-    (10, 14253, 7, 4),
-)
-
-
-def brute_force_model_choice(n: int) -> int:
-    """Recompute the candidate set and scores from scratch."""
-    assert n >= 3275
-
-    def ceil_log3(x: int) -> int:
-        h, p = 0, 1
-        while p < x:
-            p *= 3
-            h += 1
-        return h
-
-    def ceil_div(a: int, b: int) -> int:
-        return (a + b - 1) // b
-
-    target = ceil_log3(ceil_div(n, 3273)) + 2
-    scored = []
-    for mid, n_mb, n_p, t_units in SUBTREE_TABLE:
-        parts = ceil_div(n, n_mb)
-        if ceil_log3(parts) + t_units == target:
-            scored.append((parts * n_p, mid))
-    return min(scored)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@
 import copy
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import parashake
 from parashake import planner, treeio
 from parashake.cli import main
 
@@ -134,7 +138,7 @@ def test_analyze_rejects_corrupted_plan(capsys, tmp_path):
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
-    assert "suites: 7 passed, 0 failed" in out
+    assert "suites: 8 passed, 0 failed" in out
 
 
 def test_selftest_corrupted_vectors(capsys, tmp_path):
@@ -147,7 +151,7 @@ def test_selftest_corrupted_vectors(capsys, tmp_path):
     assert code == 1
     assert "shake-vectors: FAIL" in out
     # the other suites still ran and passed
-    assert out.count("PASS") == 6
+    assert out.count("PASS") == 7
 
 
 def test_missing_file_is_reported(capsys):
@@ -242,6 +246,37 @@ def test_non_utf8_file_is_reported(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+_LIMITED_CLI = """
+import resource, sys
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from parashake.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_oversized_plan_is_reported(tmp_path):
+    # a 10^13-bit single node has 9.2e9 rate blocks; the simulator's
+    # per-block list cannot be allocated under a 1 GiB address-space limit
+    huge = 10 ** 13
+    doc = json.loads(treeio.dump_plan(planner.plan("single", 5000)))
+    doc["message_bits"] = doc["report"]["message_bits"] = huge
+    doc["hops"][0]["length_bits"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(parashake.__file__).parents[1]))
+    for argv in (["analyze", "--size-bits", str(huge), "--strategy",
+                  "single"],
+                 ["analyze", "--plan", str(path)]):
+        done = subprocess.run([sys.executable, "-c", _LIMITED_CLI] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: out of memory\n"), argv
 
 
 def test_swapped_version_1_node_list_is_reported(capsys, tmp_path):

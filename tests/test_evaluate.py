@@ -1,9 +1,13 @@
 """Digest evaluation: determinism, order independence, parallel equality."""
 
+import json
+import pathlib
+import threading
+
 import pytest
 
 from oracles import random_topological_order
-from parashake import planner, scheduler
+from parashake import evaluate, planner, scheduler, selftest
 from parashake.bits import BitString
 from parashake.errors import DependencyCycleError, SliceRangeError
 from parashake.evaluate import (differential_check, evaluate_parallel,
@@ -73,14 +77,38 @@ def test_parallel_matches_sequential(rng):
         assert differential_check(p.node_tree, message), (strategy, n)
 
 
-def test_parallel_worker_counts(rng):
+def test_parallel_follows_the_schedule_on_one_thread(rng, monkeypatch):
     n = 50000
     message = random_message(rng, n)
-    p = planner.plan_ternary(n)
-    want = evaluate_sequential(p.node_tree, message)
-    for workers in (1, 2, 7):
-        got = evaluate_parallel(p.node_tree, message, max_workers=workers)
-        assert got.bits == want.bits
+    tree = planner.plan_ternary(n).node_tree
+    node_id = {id(node): nid for nid, node in enumerate(tree.nodes)}
+    visits = []
+    original = evaluate.materialize_node
+
+    def traced(node, *args):
+        visits.append((node_id[id(node)], threading.get_ident()))
+        return original(node, *args)
+
+    monkeypatch.setattr(evaluate, "materialize_node", traced)
+    got = evaluate_parallel(tree, message)
+    finish = [t.finish for t in scheduler.simulate(tree).timings]
+    assert sorted(nid for nid, _ in visits) == list(range(tree.node_count))
+    times = [finish[nid] for nid, _ in visits]
+    assert times == sorted(times) and times[0] < times[-1]
+    assert {ident for _, ident in visits} == {threading.get_ident()}
+    assert got == evaluate_sequential(tree, message)
+
+
+def test_tree_digests_match_the_goldens():
+    path = pathlib.Path(selftest.__file__).parent / "data" / "tree_digests.json"
+    doc = json.loads(path.read_text())
+    assert sorted((row["strategy"], row["message_bits"])
+                  for row in doc["digests"]) == sorted(
+        (s, n) for s in planner.STRATEGIES
+        for n in (0, 1, 2170, 2171, 3275, 29457, 10 ** 5, 10 ** 6))
+    assert doc["out_bits"] == 4096
+    assert selftest.suite_tree_digests() == (
+        True, "40 digests at 256/512/4096 bits")
 
 
 def test_avalanche_on_message_flip(rng):
