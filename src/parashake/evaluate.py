@@ -1,29 +1,52 @@
-"""Digest evaluation: the sequential reference path and the schedule-order
-path that must agree with it bit for bit.
+"""Digest evaluation: the sequential reference path and the schedule
+executor that must agree with it bit for bit.
 
 The tree shape is part of the function being computed: two strategies
 hashing the same message generally produce different digests.  Within a
-fixed tree, the digest is independent of evaluation order.  Both paths
-check their node order against the tree's dependency index
-(`NodeTree.deps`), so a reference to a node that is not an earlier one
-raises `DependencyCycleError` before any node is evaluated, and both run
-one node step: assemble the node's f-input, then `inner_f` for an inner
-node or `xof_output` for the final one.  `evaluate_parallel` takes its
-order from the simulated schedule and runs it on the calling thread; it
-starts no threads.  Scheduling metrics (depth, processors) come from the
-simulator, never from wall clocks.
+fixed tree, the digest is independent of evaluation order.
+
+Both executors assemble each node's f-input with `materialize_node`,
+once per node.  The message is converted to bytes once per evaluation;
+a message segment is read as the byte window that holds it, and frame
+bits are integers cached on their segments, so assembly is linear in the
+tree's size.
+
+`evaluate_sequential` is the oracle.  It checks its node order against
+the tree's dependency index (`NodeTree.deps`), so a reference to a node
+that is not an earlier one raises `DependencyCycleError` before any node
+is evaluated.  Then, node by node, it runs `inner_f` for an inner node
+and `xof_output` for the final one.
+
+`evaluate_parallel` runs the schedule of `scheduler.simulate`, one
+simulated time unit after the other, on the calling thread.  It absorbs
+every (node, block) pair at the unit where the simulator ends that block.
+The blocks of one unit go to `keccak.absorb_blocks` together, as one
+state per node in launches of at most `LAUNCH_CAP` states, so the kernel
+runs them as packed lanes.  A chaining value is ORed into its consumer's
+f-input just before the block that `NodeTree.deps` binds it to.  The
+final node's squeeze stays scalar.  Scheduling metrics (depth,
+processors) come from the simulator, never from wall clocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import scheduler
+from . import keccak, scheduler
 from .bits import BitString
 from .errors import DependencyCycleError, SliceRangeError
 from .sakura import (AlignPad, CVSlot, FrameBits, MessageBits, NodeLayout,
                      NodeTree)
-from .sponge import DEFAULT_PARAMS, SpongeParams, inner_f, xof_output
+from .sponge import (DEFAULT_PARAMS, SpongeParams, inner_f, squeeze,
+                     xof_output)
+
+# The widest launch of the schedule executor, in states.  A 256 KiB tree
+# hashes as fast with a cap of 256 as with 1024, and its peak RSS grows
+# with the cap (the packed lanes and masks of one launch); 128 is slower.
+# A 256 KiB `ternary` tree has 1922 blocks in its first time unit.
+LAUNCH_CAP = 256
+
+_STATE_BYTES = keccak.STATE_BITS // 8
 
 
 @dataclass(frozen=True)
@@ -35,31 +58,37 @@ class Digest:
         return self.bits.hex()
 
 
-def materialize_node(node: NodeLayout, message: BitString,
+def materialize_node(node: NodeLayout, data: bytes, message_bits: int,
                      values: dict) -> BitString:
-    """Assemble the node's bit stream from its segments."""
+    """Assemble the node's bit stream from its segments.
+
+    `data` is the `message_bits`-bit message as bytes.  A chaining-value
+    slot whose producer is not in `values` is left zero.
+    """
     acc = 0
     pos = 0
     for seg in node.segments:
         if isinstance(seg, MessageBits):
-            if seg.offset + seg.length > len(message):
+            end = seg.offset + seg.length
+            if end > message_bits:
                 raise SliceRangeError(
                     "slice [%d, %d) beyond the %d-bit message"
-                    % (seg.offset, seg.offset + seg.length, len(message)))
-            acc |= message.slice(seg.offset, seg.length).value << pos
-            pos += seg.length
+                    % (seg.offset, end, message_bits))
+            window = int.from_bytes(data[seg.offset >> 3:(end + 7) >> 3],
+                                    "little")
+            acc |= (window >> (seg.offset & 7)
+                    & ((1 << seg.length) - 1)) << pos
         elif isinstance(seg, CVSlot):
-            cv = values[seg.producer]
-            acc |= cv.value << pos
-            pos += cv.length
+            cv = values.get(seg.producer)
+            if cv is not None:
+                acc |= cv.value << pos
         elif isinstance(seg, FrameBits):
-            acc |= BitString.from01(seg.bits).value << pos
-            pos += len(seg.bits)
+            acc |= seg.value << pos
         elif isinstance(seg, AlignPad):
             acc |= 1 << pos
-            pos += 1 + seg.zeros
         else:
             raise TypeError("unknown segment %r" % (seg,))
+        pos += seg.length
     return BitString(acc, pos)
 
 
@@ -72,23 +101,13 @@ def _check_order(tree: NodeTree, order) -> list:
         raise DependencyCycleError("order is not a permutation of the nodes")
     seen = set()
     for nid in order:
-        for _, producer in deps[nid]:
+        for _, producer, _ in deps[nid]:
             if producer not in seen:
                 raise DependencyCycleError(
                     "order evaluates node %d before its producer %d"
                     % (nid, producer))
         seen.add(nid)
     return order
-
-
-def _node_step(node: NodeLayout, message: BitString, values: dict,
-               out_bits: int, params: SpongeParams) -> tuple:
-    """(value, calls) of one node: its chaining value, or the digest
-    squeezed to `out_bits` when it is the final node."""
-    bits = materialize_node(node, message, values)
-    if node.is_final:
-        return xof_output(bits, out_bits, params)
-    return inner_f(bits, params)
 
 
 def evaluate_sequential(tree: NodeTree, message: BitString,
@@ -99,31 +118,87 @@ def evaluate_sequential(tree: NodeTree, message: BitString,
     squeezed to `out_bits`.  Ground truth for all digests."""
     if not tree.nodes[-1].is_final:
         raise ValueError("tree has no final node")
+    data = message.to_bytes()
     values = {}
     calls = 0
     for nid in _check_order(tree, order):
-        values[nid], used = _node_step(tree.nodes[nid], message, values,
-                                       out_bits, params)
+        node = tree.nodes[nid]
+        bits = materialize_node(node, data, len(message), values)
+        if node.is_final:
+            values[nid], used = xof_output(bits, out_bits, params)
+        else:
+            values[nid], used = inner_f(bits, params)
         calls += used
     return Digest(values[len(tree.nodes) - 1], calls)
+
+
+def _place(buf: bytearray, pos: int, cv: bytes) -> None:
+    """OR the chaining value `cv` into `buf` at bit `pos`."""
+    lo, shift = pos >> 3, pos & 7
+    hi = lo + len(cv) + (shift > 0)
+    window = (int.from_bytes(buf[lo:hi], "little")
+              | int.from_bytes(cv, "little") << shift)
+    buf[lo:hi] = window.to_bytes(hi - lo, "little")
 
 
 def evaluate_parallel(tree: NodeTree, message: BitString,
                       out_bits: int = 512,
                       params: SpongeParams = DEFAULT_PARAMS,
                       max_workers: int | None = None) -> Digest:
-    """Evaluate the nodes in the order of the simulated schedule: by
-    finish time, ties in node order, all on the calling thread.
+    """Evaluate the tree as the simulated schedule runs it: each time
+    unit's blocks in launches of at most `LAUNCH_CAP` states, on the
+    calling thread.
 
-    The order is topological: a block holding a chaining value ends at
-    least one unit after its producer finishes, so every consumer
-    finishes strictly later.  It is the order in which a parallel
-    machine completes the nodes.  `max_workers` is unused; it is still
-    accepted because callers pass it.
+    A block holding a chaining value ends at least one unit after its
+    producer finishes, so every value is ready when its block runs.
+    `max_workers` is unused; it is still accepted because callers pass it.
     """
-    finish = [t.finish for t in scheduler.simulate(tree, out_bits).timings]
-    order = sorted(range(len(finish)), key=finish.__getitem__)
-    return evaluate_sequential(tree, message, out_bits, params, order)
+    timings = scheduler.simulate(tree, out_bits).timings
+    nodes = tree.nodes
+    if not nodes[-1].is_final:
+        raise ValueError("tree has no final node")
+    rate = params.rate_bits // 8
+    units = [[] for _ in range(max(t.finish for t in timings) + 1)]
+    for t in timings:
+        for block, end in enumerate(t.block_end):
+            units[end].append((t.node_id, block))
+    binds = {}
+    for nid, node_deps in enumerate(tree.deps):
+        for block, producer, pos in node_deps:
+            binds.setdefault((nid, block), []).append((producer, pos))
+    data = message.to_bytes()
+    inputs = {}            # f-input bytes of each node being absorbed
+    states = {}            # state of each node between two of its blocks
+    cvs = {}
+    calls = 0
+    zero = bytes(_STATE_BYTES)
+    for unit in units:
+        for lo in range(0, len(unit), LAUNCH_CAP):
+            launch = unit[lo:lo + LAUNCH_CAP]
+            blocks = []
+            for nid, block in launch:
+                if not block:
+                    inputs[nid] = bytearray(materialize_node(
+                        nodes[nid], data, len(message), {}).to_bytes())
+                buf = inputs[nid]
+                for producer, pos in binds.get((nid, block), ()):
+                    _place(buf, pos, cvs[producer])
+                blocks.append(buf[block * rate:(block + 1) * rate])
+            state = bytearray(b"".join(states.pop(nid, zero)
+                                       for nid, _ in launch))
+            calls += keccak.absorb_blocks(state, b"".join(blocks), rate)
+            for i, (nid, block) in enumerate(launch):
+                own = state[_STATE_BYTES * i:_STATE_BYTES * (i + 1)]
+                if block + 1 < nodes[nid].blocks:
+                    states[nid] = own
+                    continue
+                del inputs[nid]
+                if nodes[nid].is_final:
+                    digest, used = squeeze(own, out_bits, params)
+                    calls += used
+                else:
+                    cvs[nid] = bytes(own[:params.cv_bits // 8])
+    return Digest(digest, calls)
 
 
 def differential_check(tree: NodeTree, message: BitString,

@@ -136,6 +136,11 @@ class FrameBits:
     def length(self) -> int:
         return len(self.bits)
 
+    @cached_property
+    def value(self) -> int:
+        """The bits as an integer, bit i being character i."""
+        return int(self.bits[::-1], 2) if self.bits else 0
+
 
 @dataclass(frozen=True)
 class CVSlot:
@@ -205,22 +210,23 @@ class NodeTree:
 
     @cached_property
     def deps(self) -> tuple:
-        """Per node, a (block, producer) pair for every chaining-value slot,
-        in slot order.  A value spanning several blocks binds at the first
-        block it touches; its later blocks are absorbed afterwards anyway.
+        """Per node, a (block, producer, bit position) triple for every
+        chaining-value slot, in slot order.  A value spanning several blocks
+        binds at the first block it touches; its later blocks are absorbed
+        afterwards anyway.
         Raises `DependencyCycleError` unless every producer is an earlier
         node.
         """
         index = []
         for nid, node in enumerate(self.nodes):
-            pairs = []
+            slots = []
             for pos, producer in node.cv_positions():
                 if not (isinstance(producer, int) and 0 <= producer < nid):
                     raise DependencyCycleError(
                         "node %d consumes value of node %r, "
                         "which is not an earlier node" % (nid, producer))
-                pairs.append((pos // RATE_BITS, producer))
-            index.append(tuple(pairs))
+                slots.append((pos // RATE_BITS, producer, pos))
+            index.append(tuple(slots))
         return tuple(index)
 
 
@@ -532,7 +538,7 @@ def validate_node_tree(tree: NodeTree, fragment: bool = False,
         return False, str(exc)
     uses = [0] * len(tree.nodes)
     for node_deps in deps:
-        for _, producer in node_deps:
+        for _, producer, _ in node_deps:
             uses[producer] += 1
     for nid, n in enumerate(uses[:-1]):
         if n != 1:

@@ -60,7 +60,7 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
     timings = []
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
         ready = [0] * node.blocks
-        for block, producer in node_deps:
+        for block, producer, _ in node_deps:
             if finish[producer] > ready[block]:
                 ready[block] = finish[producer]
         end = 0
@@ -93,7 +93,7 @@ def validate_happens_before(schedule: Schedule, tree: NodeTree) -> bool:
             return False
         if any(b <= a for a, b in zip((0,) + ends, ends)):
             return False                 # blocks absorb one per unit
-        for block, producer in deps[timing.node_id]:
+        for block, producer, _ in deps[timing.node_id]:
             if finish[producer] > ends[block] - 1:
                 return False
     return True

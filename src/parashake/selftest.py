@@ -11,7 +11,7 @@ import json
 import random
 from importlib import resources
 
-from . import planner, scheduler, treeio
+from . import keccak, planner, scheduler, treeio
 from .bits import BitString
 from .evaluate import evaluate_parallel, evaluate_sequential
 from .sakura import (AlignPad, FrameBits, HopTree, MessageHop,
@@ -53,6 +53,28 @@ def suite_shake_vectors(rows: list | None = None):
         if got != row["digest_hex"]:
             return False, "vector %d mismatch" % i
     return True, "%d vectors" % len(rows)
+
+
+@_suite
+def suite_batched_kernel(widths: tuple = (2, 3, 17, 64, 257)):
+    """The packed kernel against the scalar one: seeded states absorb one
+    round of blocks in one `keccak.absorb_blocks` call of each width, and
+    state by state."""
+    rng = random.Random(_SEED + 3)
+    for width in widths:
+        for rate in (136, 13):
+            states = rng.randbytes(200 * width)
+            blocks = rng.randbytes(rate * width)
+            got = bytearray(states)
+            keccak.absorb_blocks(got, blocks, rate)
+            for k in range(width):
+                want = bytearray(states[200 * k:200 * (k + 1)])
+                keccak.absorb_blocks(want, blocks[rate * k:rate * (k + 1)],
+                                     rate)
+                if got[200 * k:200 * (k + 1)] != want:
+                    return False, "width %d, rate %d, state %d differs" % (
+                        width, rate, k)
+    return True, "widths %s" % "/".join(str(w) for w in widths)
 
 
 @_suite
@@ -256,6 +278,8 @@ def run_all(quick: bool = False, vectors: list | None = None) -> list:
     scale = 1 if not quick else 0
     results = [
         ("shake-vectors", *suite_shake_vectors(vectors)),
+        ("batched-kernel", *(suite_batched_kernel() if scale
+                             else suite_batched_kernel((2, 3, 17)))),
         ("model-table", *suite_model_table()),
         ("ternary-sweep", *suite_ternary_sweep(40 if scale else 8)),
         ("compacted-sweep", *suite_compacted_sweep(40 if scale else 8)),

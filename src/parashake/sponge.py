@@ -62,19 +62,34 @@ def xof_output(node_bits: BitString, out_bits: int,
                params: SpongeParams = DEFAULT_PARAMS) -> tuple[BitString, int]:
     """Absorb a final node and squeeze `out_bits` of output.
 
+    A node of k blocks costs k + ceil(out_bits/rate) - 1 calls (see
+    `squeeze`).
+    """
+    state, calls = _absorb(node_bits, params)
+    out, more = squeeze(state, out_bits, params)
+    return out, calls + more
+
+
+def squeeze(state: bytearray, out_bits: int,
+            params: SpongeParams = DEFAULT_PARAMS) -> tuple[BitString, int]:
+    """Squeeze `out_bits` from an absorbed state; (output, permutation calls).
+
     The first rate-sized extraction is free; each further extraction costs
-    one permutation call, so the total is k + ceil(out_bits/rate) - 1.
+    one permutation call.  The whole output buffer is allocated before the
+    first call, so a length that cannot fit raises `MemoryError` at once.
     """
     if out_bits < 1:
         raise OutputLengthError("output length must be positive")
-    state, calls = _absorb(node_bits, params)
     rate_bytes = params.rate_bits // 8
-    chunks = [bytes(state[:rate_bytes])]
-    while 8 * rate_bytes * len(chunks) < out_bits:
-        keccak.permute(state)
-        calls += 1
-        chunks.append(bytes(state[:rate_bytes]))
-    value = int.from_bytes(b"".join(chunks), "little") & ((1 << out_bits) - 1)
+    out = bytearray((out_bits + 7) // 8)
+    calls = 0
+    for off in range(0, len(out), rate_bytes):
+        if off:
+            keccak.permute(state)
+            calls += 1
+        take = min(rate_bytes, len(out) - off)
+        out[off:off + take] = state[:take]
+    value = int.from_bytes(out, "little") & ((1 << out_bits) - 1)
     return BitString(value, out_bits), calls
 
 

@@ -138,7 +138,7 @@ def test_analyze_rejects_corrupted_plan(capsys, tmp_path):
 def test_selftest_quick(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--quick")
     assert code == 0
-    assert "suites: 8 passed, 0 failed" in out
+    assert "suites: 9 passed, 0 failed" in out
 
 
 def test_selftest_corrupted_vectors(capsys, tmp_path):
@@ -151,7 +151,7 @@ def test_selftest_corrupted_vectors(capsys, tmp_path):
     assert code == 1
     assert "shake-vectors: FAIL" in out
     # the other suites still ran and passed
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
 
 
 def test_missing_file_is_reported(capsys):
@@ -277,6 +277,19 @@ def test_oversized_plan_is_reported(tmp_path):
                               timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (
             2, "", "error: out of memory\n"), argv
+
+
+def test_oversized_output_is_reported():
+    # 10^14 output bits are 12.5 TB; the output buffer is allocated before
+    # the first squeeze, so this fails at once instead of squeezing for ever
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(parashake.__file__).parents[1]))
+    argv = ["hash", "--hex", "00", "--out-bits", "99999999999999"]
+    done = subprocess.run([sys.executable, "-c", _LIMITED_CLI] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: out of memory\n")
 
 
 def test_swapped_version_1_node_list_is_reported(capsys, tmp_path):

@@ -14,9 +14,9 @@ from parashake.scheduler import simulate, validate_happens_before
 def test_index_lists_blocks_and_producers():
     tree = planner.plan_ternary(29457).node_tree
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
-        assert node_deps == tuple((pos // 1088, producer)
+        assert node_deps == tuple((pos // 1088, producer, pos)
                                   for pos, producer in node.cv_positions())
-        assert all(0 <= producer < nid for _, producer in node_deps)
+        assert all(0 <= producer < nid for _, producer, _ in node_deps)
     assert tree.deps is tree.deps
 
 

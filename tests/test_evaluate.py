@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from oracles import random_topological_order
-from parashake import evaluate, planner, scheduler, selftest
+from parashake import evaluate, keccak, planner, scheduler, selftest
 from parashake.bits import BitString
 from parashake.errors import DependencyCycleError, SliceRangeError
 from parashake.evaluate import (differential_check, evaluate_parallel,
@@ -77,26 +77,40 @@ def test_parallel_matches_sequential(rng):
         assert differential_check(p.node_tree, message), (strategy, n)
 
 
-def test_parallel_follows_the_schedule_on_one_thread(rng, monkeypatch):
+@pytest.mark.parametrize("strategy", ["ternary", "compacted", "single"])
+@pytest.mark.parametrize("cap", [evaluate.LAUNCH_CAP, 5],
+                         ids=["module-cap", "cap-5"])
+def test_parallel_launches_follow_the_schedule(strategy, cap, rng,
+                                               monkeypatch):
     n = 50000
     message = random_message(rng, n)
-    tree = planner.plan_ternary(n).node_tree
-    node_id = {id(node): nid for nid, node in enumerate(tree.nodes)}
-    visits = []
-    original = evaluate.materialize_node
+    tree = planner.plan(strategy, n).node_tree
+    want = evaluate_sequential(tree, message)
+    launches = []
+    original = keccak.absorb_blocks
 
-    def traced(node, *args):
-        visits.append((node_id[id(node)], threading.get_ident()))
-        return original(node, *args)
+    def traced(state, data, rate_bytes):
+        launches.append((len(state) // 200, threading.get_ident()))
+        return original(state, data, rate_bytes)
 
-    monkeypatch.setattr(evaluate, "materialize_node", traced)
+    monkeypatch.setattr(keccak, "absorb_blocks", traced)
+    monkeypatch.setattr(evaluate, "LAUNCH_CAP", cap)
     got = evaluate_parallel(tree, message)
-    finish = [t.finish for t in scheduler.simulate(tree).timings]
-    assert sorted(nid for nid, _ in visits) == list(range(tree.node_count))
-    times = [finish[nid] for nid, _ in visits]
-    assert times == sorted(times) and times[0] < times[-1]
-    assert {ident for _, ident in visits} == {threading.get_ident()}
-    assert got == evaluate_sequential(tree, message)
+    busy = {}
+    for t in scheduler.simulate(tree).timings:
+        for end in t.block_end:
+            busy[end] = busy.get(end, 0) + 1
+    widths = [busy[unit] for unit in sorted(busy)]
+    assert len(launches) == sum(-(-w // cap) for w in widths)
+    assert max(width for width, _ in launches) <= cap
+    rest = iter(width for width, _ in launches)
+    for w in widths:
+        total = 0
+        while total < w:
+            total += next(rest)
+        assert total == w
+    assert {ident for _, ident in launches} == {threading.get_ident()}
+    assert got == want
 
 
 def test_tree_digests_match_the_goldens():
@@ -153,7 +167,7 @@ def test_slice_out_of_range(rng):
 def test_materialize_node_assembles_stream(rng):
     p = planner.plan("single", 42)
     message = random_message(rng, 42)
-    bits = materialize_node(p.node_tree.nodes[0], message, {})
+    bits = materialize_node(p.node_tree.nodes[0], message.to_bytes(), 42, {})
     assert len(bits) == 1088
     assert bits.slice(0, 42) == message
     # message hop marker and final marker follow the message

@@ -35,8 +35,13 @@ def test_matches_bitwise_reference_on_random_states(rng):
 
 
 def test_absorb_blocks_input_validation():
-    with pytest.raises(ValueError):
-        keccak.absorb_blocks(bytearray(100), b"\x00" * 136, 136)
+    for size in (0, 100, 300):
+        with pytest.raises(ValueError):
+            keccak.absorb_blocks(bytearray(size), b"\x00" * 136, 136)
+    for nbytes in (136, 136 * 3):           # not whole rounds of 2 blocks
+        with pytest.raises(ValueError):
+            keccak.absorb_blocks(bytearray(400), b"\x00" * nbytes, 136)
+    assert keccak.absorb_blocks(bytearray(400), b"\x00" * 272, 136) == 2
     with pytest.raises(ValueError):
         keccak.absorb_blocks(bytearray(200), b"\x00" * 135, 136)
     for rate in (0, -8, 201):
@@ -57,6 +62,33 @@ def test_absorb_blocks_match_per_block_reference(rng):
         got = bytearray(start)
         assert keccak.absorb_blocks(got, data, rate) == 3
         assert got == ref, rate
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 64, 513])
+def test_packed_kernel_matches_scalar(width, rng):
+    states = [[rng.getrandbits(64) for _ in range(25)] for _ in range(width)]
+    packed = [sum(state[j] << 64 * k for k, state in enumerate(states))
+              for j in range(25)]
+    keccak._f1600_packed(packed, width)
+    for k, state in enumerate(states):
+        keccak._f1600(state)
+        assert [lane >> 64 * k & (2 ** 64 - 1) for lane in packed] == state
+
+
+@pytest.mark.parametrize("rate", [8, 13, 72, 136])
+def test_batched_absorb_matches_single_states(rate, rng):
+    for width in (2, 5):
+        start = rng.randbytes(200 * width)
+        data = rng.randbytes(rate * width * 3)
+        got = bytearray(start)
+        assert keccak.absorb_blocks(got, data, rate) == 3 * width
+        for k in range(width):
+            want = bytearray(start[200 * k:200 * (k + 1)])
+            blocks = b"".join(data[(r * width + k) * rate:
+                                   (r * width + k + 1) * rate]
+                              for r in range(3))
+            assert keccak.absorb_blocks(want, blocks, rate) == 3
+            assert got[200 * k:200 * (k + 1)] == want, (rate, width, k)
 
 
 def test_deterministic():
