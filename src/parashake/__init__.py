@@ -14,14 +14,13 @@ from .planner import (MODELS, Plan, PlanReport, model_table, plan,
 from .sakura import (HopTree, NodeTree, map_hop_tree_to_node_tree,
                      node_bit_cost, validate_grammar, validate_node_tree)
 from .scheduler import Schedule, simulate, validate_happens_before
-from .sponge import (SpongeParams, inner_f, rawshake_cost, shake256,
-                     xof_output)
+from .sponge import inner_f, rawshake_cost, shake256, xof_output
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND", "BitString", "Digest", "HopTree", "MODELS", "NodeTree",
-    "Plan", "PlanReport", "Schedule", "SpongeParams", "__version__",
+    "Plan", "PlanReport", "Schedule", "__version__",
     "differential_check", "evaluate_parallel", "evaluate_sequential",
     "inner_f", "keccak_f", "map_hop_tree_to_node_tree", "model_table",
     "node_bit_cost", "plan", "plan_compacted", "plan_compacted_relaxed",

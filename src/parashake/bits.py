@@ -41,10 +41,6 @@ class BitString:
                 raise ValueError("invalid bit character %r" % ch)
         return cls(value, len(text))
 
-    @classmethod
-    def zeros(cls, length: int) -> "BitString":
-        return cls(0, length)
-
     def __len__(self) -> int:
         return self.length
 

@@ -37,7 +37,7 @@ from .bits import BitString
 from .errors import DependencyCycleError, SliceRangeError
 from .sakura import (AlignPad, CVSlot, FrameBits, MessageBits, NodeLayout,
                      NodeTree)
-from .sponge import (DEFAULT_PARAMS, SpongeParams, inner_f, squeeze,
+from .sponge import (CV_BITS, RATE_BITS, check_out_bits, inner_f, squeeze,
                      xof_output)
 
 # The widest launch of the schedule executor, in states.  A 256 KiB tree
@@ -111,11 +111,11 @@ def _check_order(tree: NodeTree, order) -> list:
 
 
 def evaluate_sequential(tree: NodeTree, message: BitString,
-                        out_bits: int = 512,
-                        params: SpongeParams = DEFAULT_PARAMS,
-                        order=None) -> Digest:
+                        out_bits: int = 512, order=None) -> Digest:
     """Evaluate every node in (any) topological order; the final node is
-    squeezed to `out_bits`.  Ground truth for all digests."""
+    squeezed to `out_bits`, which is checked before any node is
+    evaluated.  Ground truth for all digests."""
+    check_out_bits(out_bits)
     if not tree.nodes[-1].is_final:
         raise ValueError("tree has no final node")
     data = message.to_bytes()
@@ -125,9 +125,9 @@ def evaluate_sequential(tree: NodeTree, message: BitString,
         node = tree.nodes[nid]
         bits = materialize_node(node, data, len(message), values)
         if node.is_final:
-            values[nid], used = xof_output(bits, out_bits, params)
+            values[nid], used = xof_output(bits, out_bits)
         else:
-            values[nid], used = inner_f(bits, params)
+            values[nid], used = inner_f(bits)
         calls += used
     return Digest(values[len(tree.nodes) - 1], calls)
 
@@ -143,7 +143,6 @@ def _place(buf: bytearray, pos: int, cv: bytes) -> None:
 
 def evaluate_parallel(tree: NodeTree, message: BitString,
                       out_bits: int = 512,
-                      params: SpongeParams = DEFAULT_PARAMS,
                       max_workers: int | None = None) -> Digest:
     """Evaluate the tree as the simulated schedule runs it: each time
     unit's blocks in launches of at most `LAUNCH_CAP` states, on the
@@ -151,13 +150,14 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
 
     A block holding a chaining value ends at least one unit after its
     producer finishes, so every value is ready when its block runs.
+    `simulate` rejects an `out_bits` below 1 before any node is absorbed.
     `max_workers` is unused; it is still accepted because callers pass it.
     """
     timings = scheduler.simulate(tree, out_bits).timings
     nodes = tree.nodes
     if not nodes[-1].is_final:
         raise ValueError("tree has no final node")
-    rate = params.rate_bits // 8
+    rate = RATE_BITS // 8
     units = [[] for _ in range(max(t.finish for t in timings) + 1)]
     for t in timings:
         for block, end in enumerate(t.block_end):
@@ -194,17 +194,16 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
                     continue
                 del inputs[nid]
                 if nodes[nid].is_final:
-                    digest, used = squeeze(own, out_bits, params)
+                    digest, used = squeeze(own, out_bits)
                     calls += used
                 else:
-                    cvs[nid] = bytes(own[:params.cv_bits // 8])
+                    cvs[nid] = bytes(own[:CV_BITS // 8])
     return Digest(digest, calls)
 
 
 def differential_check(tree: NodeTree, message: BitString,
-                       out_bits: int = 512,
-                       params: SpongeParams = DEFAULT_PARAMS) -> bool:
+                       out_bits: int = 512) -> bool:
     """True iff the parallel executor reproduces the sequential digest."""
-    a = evaluate_sequential(tree, message, out_bits, params)
-    b = evaluate_parallel(tree, message, out_bits, params)
+    a = evaluate_sequential(tree, message, out_bits)
+    b = evaluate_parallel(tree, message, out_bits)
     return a.bits == b.bits and a.total_calls == b.total_calls

@@ -269,15 +269,13 @@ def _f1600_packed(s: list, width: int) -> None:
             a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
 
 
-
-
-def _gather(buf, width: int, count: int) -> list:
-    """The first `count` packed lanes of `width` equal records in `buf`:
+def _gather(buf, width: int) -> list:
+    """The packed lanes of `width` equal records of whole words in `buf`:
     packed lane j holds 64-bit word j of record k in bits [64k, 64k+64)."""
     words = array("Q", buf)
     stride = len(words) // width
     return [int.from_bytes(words[j::stride].tobytes(), "little")
-            for j in range(count)]
+            for j in range(stride)]
 
 
 def _scatter(lanes: list, state: bytearray, width: int) -> None:
@@ -299,15 +297,16 @@ def absorb_blocks(state: bytearray, data: bytes, rate_bytes: int) -> int:
     """XOR rate-sized blocks into B states, permuting after each round.
 
     `state` holds B >= 1 states of 200 bytes back to back.  `data` holds
-    whole rounds of B blocks of `rate_bytes` (1..200), block k of a round
-    for state k.  Returns the number of permutations performed, B per
-    round.  B = 1 runs the scalar kernel; wider calls run the packed one.
+    whole rounds of B blocks of `rate_bytes` (8..200, whole 64-bit lanes,
+    as every FIPS 202 rate is), block k of a round for state k.  Returns
+    the permutations performed, B per round.  B = 1 runs the scalar
+    kernel; wider calls run the packed one.
     """
     width, rem = divmod(len(state), 200)
     if rem or not width:
         raise ValueError("state must be a positive multiple of 200 bytes")
-    if not 0 < rate_bytes <= 200:
-        raise ValueError("rate must be 1..200 bytes")
+    if not 0 < rate_bytes <= 200 or rate_bytes % 8:
+        raise ValueError("rate must be whole lanes of 8..200 bytes")
     step = rate_bytes * width
     rounds, rem = divmod(len(data), step)
     if rem:
@@ -317,17 +316,9 @@ def absorb_blocks(state: bytearray, data: bytes, rate_bytes: int) -> int:
     if width == 1:
         _absorb_scalar(state, data, rate_bytes)
         return rounds
-    words = -(-rate_bytes // 8)
-    lanes = _gather(state, width, 25)
+    lanes = _gather(state, width)
     for off in range(0, len(data), step):
-        blocks = data[off:off + step]
-        if rate_bytes % 8:
-            # widen every block to whole words
-            wide = bytearray(8 * words * width)
-            for i in range(rate_bytes):
-                wide[i::8 * words] = blocks[i::rate_bytes]
-            blocks = wide
-        for j, lane in enumerate(_gather(blocks, width, words)):
+        for j, lane in enumerate(_gather(data[off:off + step], width)):
             lanes[j] ^= lane
         _f1600_packed(lanes, width)
     _scatter(lanes, state, width)
@@ -335,16 +326,11 @@ def absorb_blocks(state: bytearray, data: bytes, rate_bytes: int) -> int:
 
 
 def _absorb_scalar(state: bytearray, data: bytes, rate_bytes: int) -> None:
-    whole, part = divmod(rate_bytes, 8)
-    words = struct.Struct("<%dQ" % whole)
+    words = struct.Struct("<%dQ" % (rate_bytes // 8))
     lanes = list(_STATE.unpack(state))
     for off in range(0, len(data), rate_bytes):
         for i, w in enumerate(words.unpack_from(data, off)):
             lanes[i] ^= w
-        if part:
-            tail = off + 8 * whole
-            lanes[whole] ^= int.from_bytes(data[tail:off + rate_bytes],
-                                           "little")
         _f1600(lanes)
     _STATE.pack_into(state, 0, *lanes)
 

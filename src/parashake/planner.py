@@ -512,7 +512,7 @@ def predict(strategy: str, n: int) -> tuple:
     return _composed_prediction(n, MODELS[model_id])
 
 
-def plan(strategy: str, n: int, model_id: int | None = None) -> Plan:
+def plan(strategy: str, n: int) -> Plan:
     """Plan dispatcher; 'auto' means ternary-min-procs when the message
     is large enough for model selection, the small-message fallback
     otherwise."""
@@ -526,7 +526,7 @@ def plan(strategy: str, n: int, model_id: int | None = None) -> Plan:
     if strategy == "ternary-min-procs":
         if n < SELECT_MODEL_MIN_BITS:
             return plan_ternary(n)
-        return plan_ternary_with_model(n, model_id)
+        return plan_ternary_with_model(n)
     if strategy == "compacted":
         return plan_compacted(n)
     if strategy == "compacted-relaxed":

@@ -27,9 +27,8 @@ from functools import cached_property
 
 from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
                      SliceRangeError, TooManyChainingValues)
+from .sponge import CV_BITS, RATE_BITS
 
-RATE_BITS = 1088
-CV_BITS = 512
 MAX_CVS = 255
 
 _NO_INTERLEAVING = (0xFF, 0xFF)
@@ -274,16 +273,11 @@ def encode_message_hop(offset: int, length: int) -> list:
     return segs
 
 
-def encode_chaining_hop(producers, n_cv: int | None = None) -> list:
-    """n_cv chaining-value slots, then the coded count, the
-    no-interleaving marker and the closing '0' (512*n_cv + 33 bits)."""
-    producers = list(producers)
-    if n_cv is None:
-        n_cv = len(producers)
-    if n_cv != len(producers):
-        raise GrammarError("coded count disagrees with the slot count")
+def encode_chaining_hop(producers) -> list:
+    """One chaining-value slot per producer, then the coded count, the
+    no-interleaving marker and the closing '0' (512*n + 33 bits)."""
     segs = [CVSlot(p) for p in producers]
-    segs.append(FrameBits(chaining_frame_bits(n_cv)))
+    segs.append(FrameBits(chaining_frame_bits(len(segs))))
     return segs
 
 
@@ -516,13 +510,13 @@ def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
     return True, "ok"
 
 
-def validate_node_tree(tree: NodeTree, fragment: bool = False,
-                       check_coverage: bool = True) -> tuple[bool, str]:
+def validate_node_tree(tree: NodeTree,
+                       fragment: bool = False) -> tuple[bool, str]:
     """Structural checks over a whole node tree.
 
     Verifies per-node grammar, the single-final-node rule, topological
     chaining-value references, single use of every inner node's value,
-    and (optionally) that message slices partition the message exactly.
+    and that message slices partition the message exactly.
     """
     if not tree.nodes:
         return False, "empty tree"
@@ -545,17 +539,13 @@ def validate_node_tree(tree: NodeTree, fragment: bool = False,
             return False, "node %d value used %d times" % (nid, n)
     if uses[-1] != 0:
         return False, "root node value must be unused"
-    if check_coverage:
-        slices = []
-        for node in tree.nodes:
-            for _, offset, length in node.message_slices():
-                slices.append((offset, length))
-        slices.sort()
-        pos = 0
-        for offset, length in slices:
-            if offset != pos:
-                return False, "message gap or overlap at bit %d" % pos
-            pos += length
-        if pos != tree.message_bits:
-            return False, "message covers %d of %d bits" % (pos, tree.message_bits)
+    slices = sorted((offset, length) for node in tree.nodes
+                    for _, offset, length in node.message_slices())
+    pos = 0
+    for offset, length in slices:
+        if offset != pos:
+            return False, "message gap or overlap at bit %d" % pos
+        pos += length
+    if pos != tree.message_bits:
+        return False, "message covers %d of %d bits" % (pos, tree.message_bits)
     return True, "ok"

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutputLengthError
 from .sakura import RATE_BITS, NodeTree
+from .sponge import check_out_bits
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
     """Simulate absorption of every node; deterministic.  Raises
     `DependencyCycleError` unless every producer is an earlier node, and
     `OutputLengthError` unless `out_bits` is positive."""
-    if out_bits < 1:
-        raise OutputLengthError("output length must be positive")
+    check_out_bits(out_bits)
     finish = []
     timings = []
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parashake
-from parashake import planner, treeio
+from parashake import keccak, planner, treeio
 from parashake.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -340,6 +340,20 @@ def test_deep_plan_is_reported(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: hop tree nests too deeply\n"
+
+
+@pytest.mark.parametrize("out_bits", ["0", "-1"])
+def test_hash_rejects_bad_out_bits_before_hashing(monkeypatch, capsys,
+                                                  out_bits):
+    def no_permutations(*args):
+        raise AssertionError("permutation run before out_bits was checked")
+    monkeypatch.setattr(keccak, "absorb_blocks", no_permutations)
+    monkeypatch.setattr(keccak, "permute", no_permutations)
+    code, out, err = run_cli(capsys, "hash", "--hex", "ab" * 4000,
+                             "--out-bits", out_bits)
+    assert code == 2
+    assert out == ""
+    assert err == "error: output length must be positive\n"
 
 
 @pytest.mark.parametrize("out_bits", ["0", "-1", "-7000"])

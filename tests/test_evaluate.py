@@ -9,7 +9,8 @@ import pytest
 from oracles import random_topological_order
 from parashake import evaluate, keccak, planner, scheduler, selftest
 from parashake.bits import BitString
-from parashake.errors import DependencyCycleError, SliceRangeError
+from parashake.errors import (DependencyCycleError, OutputLengthError,
+                              SliceRangeError)
 from parashake.evaluate import (differential_check, evaluate_parallel,
                                 evaluate_sequential, materialize_node)
 from parashake.sponge import shake256
@@ -155,6 +156,21 @@ def test_xof_prefix_across_outputs(rng):
     for out_bits in (256, 512):
         short = evaluate_sequential(p.node_tree, message, out_bits)
         assert short.bits == long.bits.slice(0, out_bits)
+
+
+def _no_permutations(*args, **kwargs):
+    raise AssertionError("permutation run before out_bits was checked")
+
+
+@pytest.mark.parametrize("out_bits", [0, -1])
+@pytest.mark.parametrize("executor", [evaluate_sequential, evaluate_parallel])
+def test_bad_out_bits_fail_before_hashing(monkeypatch, rng, executor,
+                                          out_bits):
+    monkeypatch.setattr(keccak, "absorb_blocks", _no_permutations)
+    monkeypatch.setattr(keccak, "permute", _no_permutations)
+    p = planner.plan("ternary", 29457)
+    with pytest.raises(OutputLengthError):
+        executor(p.node_tree, random_message(rng, 29457), out_bits)
 
 
 def test_slice_out_of_range(rng):

@@ -44,14 +44,14 @@ def test_absorb_blocks_input_validation():
     assert keccak.absorb_blocks(bytearray(400), b"\x00" * 272, 136) == 2
     with pytest.raises(ValueError):
         keccak.absorb_blocks(bytearray(200), b"\x00" * 135, 136)
-    for rate in (0, -8, 201):
+    for rate in (0, -8, 13, 135, 201):
         with pytest.raises(ValueError):
             keccak.absorb_blocks(bytearray(200), b"", rate)
     assert keccak.absorb_blocks(bytearray(200), b"", 136) == 0
 
 
 def test_absorb_blocks_match_per_block_reference(rng):
-    for rate in (8, 13, 72, 136, 168, 200):
+    for rate in (8, 72, 136, 168, 200):
         start = rng.randbytes(200)
         data = rng.randbytes(rate * 3)
         ref = bytearray(start)
@@ -75,7 +75,7 @@ def test_packed_kernel_matches_scalar(width, rng):
         assert [lane >> 64 * k & (2 ** 64 - 1) for lane in packed] == state
 
 
-@pytest.mark.parametrize("rate", [8, 13, 72, 136])
+@pytest.mark.parametrize("rate", [8, 72, 136, 168, 200])
 def test_batched_absorb_matches_single_states(rate, rng):
     for width in (2, 5):
         start = rng.randbytes(200 * width)

@@ -105,8 +105,6 @@ def test_chaining_frame_bit_pattern():
 def test_chaining_hop_count_bounds():
     with pytest.raises(TooManyChainingValues):
         encode_chaining_hop([-1] * 256)
-    with pytest.raises(GrammarError):
-        encode_chaining_hop([-1, -1], n_cv=3)
 
 
 # ---------------------------------------------------------------------------

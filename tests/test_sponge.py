@@ -6,11 +6,10 @@ from importlib import resources
 
 import pytest
 
-from parashake import sponge
+from parashake import keccak, sakura, sponge
 from parashake.bits import BitString
 from parashake.errors import BlockAlignmentError, OutputLengthError
-from parashake.sponge import (DEFAULT_PARAMS, SpongeParams, inner_f,
-                              rawshake_cost, shake256, xof_output)
+from parashake.sponge import inner_f, rawshake_cost, shake256, xof_output
 
 # Published example digests (empty message and the 1600-bit message of
 # 0xA3 bytes), 512-bit prefixes.
@@ -22,13 +21,10 @@ SHAKE256_1600BIT = (
     "2d700caae7396ece96604440577da4f3aa22aeb8857f961c4cd8e06f0ae6610b")
 
 
-def test_params_invariants():
-    assert DEFAULT_PARAMS.rate_bits + DEFAULT_PARAMS.capacity_bits == 1600
-    assert DEFAULT_PARAMS.cv_bits == DEFAULT_PARAMS.capacity_bits
-    with pytest.raises(ValueError):
-        SpongeParams(rate_bits=1088, capacity_bits=500)
-    with pytest.raises(ValueError):
-        SpongeParams(rate_bits=1088, capacity_bits=512, cv_bits=256)
+def test_sponge_shape_is_one_definition():
+    assert sponge.RATE_BITS + sponge.CV_BITS == keccak.STATE_BITS
+    assert sakura.RATE_BITS is sponge.RATE_BITS
+    assert sakura.CV_BITS is sponge.CV_BITS
 
 
 def test_shake256_published_vectors():
@@ -109,6 +105,17 @@ def test_xof_errors():
         xof_output(BitString(0, 1088), 0)
     with pytest.raises(BlockAlignmentError):
         xof_output(BitString(0, 1000), 512)
+
+
+@pytest.mark.parametrize("out_bits", [0, -1])
+def test_bad_out_bits_fail_before_absorbing(monkeypatch, out_bits):
+    def no_permutations(*args):
+        raise AssertionError("permutation run before out_bits was checked")
+    monkeypatch.setattr(keccak, "absorb_blocks", no_permutations)
+    with pytest.raises(OutputLengthError):
+        xof_output(BitString(0, 2176), out_bits)
+    with pytest.raises(OutputLengthError):
+        shake256(BitString(), out_bits)
 
 
 def test_rawshake_cost_values():
