@@ -13,8 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import parashake
-from parashake import keccak, planner, treeio
+from parashake import keccak, planner, scheduler, treeio
+from parashake.bits import BitString
 from parashake.cli import main
+from parashake.evaluate import evaluate_sequential
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -64,6 +66,40 @@ def test_hash_ternary_report(capsys, tmp_path):
     assert lines["depth"] == "4"
     assert lines["processors"] == "27"
     assert lines["strategy"] == "ternary"
+
+
+@pytest.mark.parametrize("strategy", ("auto",) + planner.STRATEGIES)
+def test_hash_matches_the_oracle(capsys, tmp_path, monkeypatch, rng,
+                                 strategy):
+    # `hash` runs the schedule executor on the one schedule it simulates;
+    # its digest and call count are the sequential oracle's
+    source = rng.randbytes(12500)
+    simulated = []
+    original = scheduler.simulate
+
+    def counted(*args):
+        simulated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scheduler, "simulate", counted)
+    sched_path = tmp_path / "sched.json"
+    for n in (0, 1, 2170, 2171, 3275, 29457, 10 ** 5):
+        data = source[:(n + 7) // 8]
+        tree = planner.plan(strategy, n).node_tree
+        for out_bits in (256, 512, 4096):
+            del simulated[:]
+            code, out, err = run_cli(
+                capsys, "hash", "--hex", data.hex(), "--bits", str(n % 8),
+                "--strategy", strategy, "--out-bits", str(out_bits),
+                "--emit-schedule", str(sched_path))
+            assert (code, err, len(simulated)) == (0, "", 1), (n, out_bits)
+            lines = dict(line.split(": ", 1) for line in out.splitlines())
+            want = evaluate_sequential(tree, BitString.from_bytes(data, n),
+                                       out_bits)
+            assert lines["digest"] == want.hex(), (n, out_bits)
+            assert lines["total-calls"] == str(want.total_calls)
+            assert sched_path.read_text() == treeio.dump_schedule(
+                original(tree, out_bits))
 
 
 def test_hash_bit_truncation(capsys):
@@ -426,3 +462,77 @@ def test_mutated_plan_never_escapes(capsys, tmp_path, text):
         canonical = json.dumps(json.loads(text), indent=2,
                                sort_keys=True) + "\n"
         assert treeio.dump_plan(treeio.load_plan(text)) == canonical
+
+
+# Each subcommand's options; one listed twice is drawn twice as often, and
+# "junk" is a token from anywhere.  Numbers stay at or below 8192: an `--out-bits` is
+# a buffer that `squeeze` fills whole, and a `--size-bits` a plan.
+# Messages stay under 40 bytes.  `selftest` is left out, because a
+# well-formed call runs every suite.
+_OPTIONS = {
+    "hash": ["--bits", "--strategy", "--strategy", "--out-bits",
+             "--emit-tree", "--emit-schedule"],
+    "plan": ["--bits", "--size-bits", "--size-bits", "--strategy",
+             "--emit-tree"],
+    "analyze": ["--bits", "--plan", "--plan", "--size-bits", "--strategy",
+                "--out-bits", "--emit-schedule"],
+}
+_JUNK = st.sampled_from(["", "-", "--", "x", "1.5", "-1", "auto", "bogus",
+                         "--bogus", "-h", "--help", "--vectors", "--quick",
+                         "--size-bits", "--plan", "--emit-tree"])
+
+
+@st.composite
+def _argvs(draw, inputs, outputs):
+    read, write = st.sampled_from(inputs), st.sampled_from(outputs)
+    values = {
+        "--in": read, "--plan": read,
+        "--emit-tree": write, "--emit-schedule": write,
+        "--hex": st.one_of(st.binary(max_size=40).map(bytes.hex),
+                           st.binary(max_size=40).map(bytes.hex),
+                           st.sampled_from(["zz", "abc", "0x00", "-1"])),
+        "--bits": st.integers(-1, 8),
+        "--out-bits": st.integers(-2, 8192),
+        "--size-bits": st.integers(-2, 8192),
+        "--strategy": st.sampled_from(("auto", "bogus")
+                                      + planner.STRATEGIES),
+    }
+    command = draw(st.sampled_from(["hash", "hash", "hash", "plan", "plan",
+                                    "analyze", "analyze", "bogus"]))
+    argv = [command]
+    for source in draw(st.sampled_from([["--hex"]] * 4 + [
+            ["--in"], ["--in"], ["--in", "--hex"], []])):
+        argv += [source, str(draw(values[source]))]
+    for _ in range(draw(st.integers(0, 4))):
+        token = draw(st.sampled_from(_OPTIONS.get(command, []) + ["junk"]))
+        if token == "junk":
+            argv.append(draw(_JUNK))
+            continue
+        argv.append(token)
+        if draw(st.integers(0, 19)):         # now and then no value
+            argv.append(str(draw(values[token])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_argv_never_escapes(capsys, tmp_path, data):
+    plan = tmp_path / "plan.json"
+    if not plan.exists():
+        plan.write_text(treeio.dump_plan(planner.plan("ternary", 9819)))
+        (tmp_path / "garbage.bin").write_bytes(b"\xff\xfe\x00garbage")
+        (tmp_path / "message.bin").write_bytes(bytes(range(40)))
+    inputs = [str(tmp_path / name) for name in
+              ("plan.json", "garbage.bin", "message.bin", "missing", "")]
+    outputs = [str(tmp_path / name) for name in ("out", "missing/out", "")]
+    argv = data.draw(_argvs(inputs, outputs))
+    try:
+        code = main(argv)
+    except SystemExit as exc:            # argparse: usage error or --help
+        code = exc.code
+    _, err = capsys.readouterr()
+    assert code in (0, 1, 2), argv
+    has_error = any(line.startswith("error: ") or ": error: " in line
+                    for line in err.splitlines())
+    assert has_error == (code == 2), (argv, err)

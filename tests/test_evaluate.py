@@ -78,6 +78,21 @@ def test_parallel_matches_sequential(rng):
         assert differential_check(p.node_tree, message), (strategy, n)
 
 
+def _trace_launches(monkeypatch):
+    """Record (width, rounds, thread) for every `keccak.absorb_blocks`."""
+    launches = []
+    original = keccak.absorb_blocks
+
+    def traced(state, data, rate_bytes):
+        width = len(state) // 200
+        launches.append((width, len(data) // (rate_bytes * width),
+                         threading.get_ident()))
+        return original(state, data, rate_bytes)
+
+    monkeypatch.setattr(keccak, "absorb_blocks", traced)
+    return launches
+
+
 @pytest.mark.parametrize("strategy", ["ternary", "compacted", "single"])
 @pytest.mark.parametrize("cap", [evaluate.LAUNCH_CAP, 5],
                          ids=["module-cap", "cap-5"])
@@ -87,31 +102,72 @@ def test_parallel_launches_follow_the_schedule(strategy, cap, rng,
     message = random_message(rng, n)
     tree = planner.plan(strategy, n).node_tree
     want = evaluate_sequential(tree, message)
-    launches = []
-    original = keccak.absorb_blocks
-
-    def traced(state, data, rate_bytes):
-        launches.append((len(state) // 200, threading.get_ident()))
-        return original(state, data, rate_bytes)
-
-    monkeypatch.setattr(keccak, "absorb_blocks", traced)
+    launches = _trace_launches(monkeypatch)
     monkeypatch.setattr(evaluate, "LAUNCH_CAP", cap)
     got = evaluate_parallel(tree, message)
+    sched = scheduler.simulate(tree)
     busy = {}
-    for t in scheduler.simulate(tree).timings:
+    for t in sched.timings:
         for end in t.block_end:
             busy[end] = busy.get(end, 0) + 1
     widths = [busy[unit] for unit in sorted(busy)]
-    assert len(launches) == sum(-(-w // cap) for w in widths)
-    assert max(width for width, _ in launches) <= cap
-    rest = iter(width for width, _ in launches)
+    # a width-1 launch of k rounds is a run of k units of one block each;
+    # a wider launch is one round
+    expanded = []
+    for width, rounds, _ in launches:
+        assert width == 1 or rounds == 1
+        expanded += [width] * rounds
+    rest = iter(expanded)
     for w in widths:
         total = 0
         while total < w:
             total += next(rest)
         assert total == w
-    assert {ident for _, ident in launches} == {threading.get_ident()}
+    assert next(rest, None) is None
+    assert max(width for width, _, _ in launches) <= cap
+    assert {ident for _, _, ident in launches} == {threading.get_ident()}
+    assert sum(width * rounds for width, rounds, _ in launches) == \
+        sched.absorb_calls
     assert got == want
+
+
+@pytest.mark.parametrize("strategy, n, launches, units", [
+    ("single", 50000, [(1, 46)], 46),
+    # the final node absorbs its last two blocks alone
+    ("compacted", 10 ** 5, [(91, 1), (30, 1), (10, 1), (4, 1), (1, 2)], 6),
+], ids=["single", "compacted-tail"])
+def test_node_absorbing_alone_takes_one_launch(strategy, n, launches, units,
+                                               rng, monkeypatch):
+    message = random_message(rng, n)
+    tree = planner.plan(strategy, n).node_tree
+    want = evaluate_sequential(tree, message)
+    traced = _trace_launches(monkeypatch)
+    got = evaluate_parallel(tree, message)
+    assert got == want
+    assert max(t.finish for t in scheduler.simulate(tree).timings) == units
+    assert [(width, rounds) for width, rounds, _ in traced] == launches
+    assert len(launches) < units
+
+
+def test_parallel_runs_the_given_schedule(rng, monkeypatch):
+    n = 29457
+    message = random_message(rng, n)
+    tree = planner.plan("ternary", n).node_tree
+    sched = scheduler.simulate(tree, 4096)
+    want = evaluate_sequential(tree, message, 4096)
+
+    def no_simulation(*args):
+        raise AssertionError("the given schedule was simulated again")
+
+    monkeypatch.setattr(scheduler, "simulate", no_simulation)
+    assert evaluate_parallel(tree, message, 4096, schedule=sched) == want
+    with pytest.raises(ValueError):
+        evaluate_parallel(tree, message, 512, schedule=sched)
+    other = planner.plan("ternary", 9819).node_tree
+    with pytest.raises(ValueError):
+        evaluate_parallel(other, message, 4096, schedule=sched)
+    with pytest.raises(OutputLengthError):
+        evaluate_parallel(tree, message, 0, schedule=sched)
 
 
 def test_tree_digests_match_the_goldens():
