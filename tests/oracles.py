@@ -12,7 +12,7 @@ import random
 import networkx as nx
 
 from parashake.bits import BitString
-from parashake.sakura import RATE_BITS, NodeTree
+from parashake.sakura import RATE_BITS, FrameBits, NodeTree
 from parashake.scheduler import NodeTiming, Schedule
 # the model-choice brute force, with its own table, is the selftest's
 from parashake.selftest import brute_force_model_choice  # noqa: F401
@@ -92,6 +92,11 @@ def state_to_bits(lanes) -> BitString:
             raise ValueError("lane wider than 64 bits")
         value |= lane << (64 * i)
     return BitString(value, 1600)
+
+
+def frame(text: str) -> FrameBits:
+    """A frame segment written as a '0'/'1' string in stream order."""
+    return FrameBits(text)
 
 
 # ---------------------------------------------------------------------------

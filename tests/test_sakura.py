@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frame
 from parashake import planner
 from parashake.errors import (GrammarError, SliceRangeError,
                               TooManyChainingValues)
@@ -304,6 +305,55 @@ def test_every_frame_bit_mutation_rejected(rng):
                 ok, _ = validate_grammar(twisted)
                 assert not ok, (idx, flip)
                 checked += 1
+
+
+def _le(value: int, width: int) -> str:
+    return "".join(str(value >> i & 1) for i in range(width))
+
+
+def _coded(count: int, length_byte: int = 1, marker: int = 0xFFFF):
+    """A chaining hop's frame: count byte, length byte, marker, '0'."""
+    return frame(_le(count, 8) + _le(length_byte, 8) + _le(marker, 16) + "0")
+
+
+def _closed(segs, is_final=False, marker=None, last="1") -> NodeLayout:
+    """`segs` followed by the node marker, the suffix and a rate-filling
+    multi-rate pad whose last bit is `last`."""
+    if marker is None:
+        marker = "1" if is_final else "10"
+    used = sum(s.length for s in segs) + len(marker) + 4
+    tail = frame(marker + "11" + "1" + "0" * (-used % 1088) + last)
+    return NodeLayout(tuple(segs) + (tail,), is_final)
+
+
+GRAMMAR_DIAGNOSES = [
+    (_closed([MessageBits(0, 100), frame("1")]), "ok"),
+    (NodeLayout((MessageBits(0, 1088),), True), "expected a frame bit"),
+    (_closed([CVSlot(0), frame("1" * 20 + "0")]), "expected a frame bit"),
+    (_closed([MessageBits(0, 100), frame("1")], last="0"),
+     "frame bit '0' where '1' was required"),
+    (_closed([MessageBits(0, 100), frame("1")], marker="11"),
+     "frame bit '1' where '0' was required"),
+    (_closed([], is_final=True), "node has no hops"),
+    (_closed([CVSlot(0), _coded(1, marker=0x7FFF)]),
+     "bad interleaving marker"),
+    (_closed([CVSlot(0), _coded(1, length_byte=2)]),
+     "bad coded-count length byte"),
+    (_closed([CVSlot(0), _coded(0)]),
+     "coded chaining-value count out of range"),
+    (_closed([CVSlot(0), _coded(2)]), "coded count 2 disagrees with 1 slots"),
+    (_closed([frame("1"), MessageBits(0, 100), frame("1")]),
+     "message hop is not at the start of the node"),
+    (_closed([MessageBits(0, 100)]),
+     "unexpected m token inside frame position"),
+    (_closed([CVSlot(0)]), "unexpected c token inside frame position"),
+]
+
+
+@pytest.mark.parametrize("node, diagnosis", GRAMMAR_DIAGNOSES,
+                         ids=[d for _, d in GRAMMAR_DIAGNOSES])
+def test_grammar_diagnosis(node, diagnosis):
+    assert validate_grammar(node) == (diagnosis == "ok", diagnosis)
 
 
 def test_fragment_trees_validate():
