@@ -30,17 +30,6 @@ class BitString:
         value = int.from_bytes(data, "little") & ((1 << length) - 1)
         return cls(value, length)
 
-    @classmethod
-    def from01(cls, text: str) -> "BitString":
-        """Parse a '0'/'1' string given in stream order (index 0 first)."""
-        value = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                value |= 1 << i
-            elif ch != "0":
-                raise ValueError("invalid bit character %r" % ch)
-        return cls(value, len(text))
-
     def __len__(self) -> int:
         return self.length
 
@@ -51,16 +40,6 @@ class BitString:
 
     def __hash__(self) -> int:
         return hash((self.value, self.length))
-
-    def __add__(self, other: "BitString") -> "BitString":
-        """Concatenation; `other` follows `self` in stream order."""
-        return BitString(self.value | other.value << self.length,
-                         self.length + other.length)
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError("bit index out of range")
-        return (self.value >> i) & 1
 
     def slice(self, start: int, length: int) -> "BitString":
         if start < 0 or length < 0 or start + length > self.length:

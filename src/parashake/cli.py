@@ -75,14 +75,14 @@ def cmd_hash(args) -> int:
     sched = scheduler.simulate(plan.node_tree, args.out_bits)
     digest = evaluate.evaluate_parallel(plan.node_tree, message,
                                         args.out_bits, schedule=sched)
+    _emit(args.emit_tree, treeio.dump_plan, plan)
+    _emit(args.emit_schedule, treeio.dump_schedule, sched)
     print("digest: %s" % digest.hex())
     print("out-bits: %d" % args.out_bits)
     _print_report(plan)
     print("depth: %d" % sched.depth)
     print("processors: %d" % sched.processors)
     print("total-calls: %d" % digest.total_calls)
-    _emit(args.emit_tree, treeio.dump_plan, plan)
-    _emit(args.emit_schedule, treeio.dump_schedule, sched)
     return 0
 
 
@@ -117,6 +117,7 @@ def cmd_analyze(args) -> int:
         return 1
     sched = scheduler.simulate(plan.node_tree, args.out_bits)
     happens_before = scheduler.validate_happens_before(sched, plan.node_tree)
+    _emit(args.emit_schedule, treeio.dump_schedule, sched)
     print("plan-valid: yes")
     print("depth: %d" % sched.depth)
     print("processors: %d" % sched.processors)
@@ -124,7 +125,6 @@ def cmd_analyze(args) -> int:
     print("total-calls: %d" % sched.total_calls)
     print("stalls: %d" % sched.total_stalls)
     print("happens-before: %s" % ("ok" if happens_before else "VIOLATED"))
-    _emit(args.emit_schedule, treeio.dump_schedule, sched)
     return 0 if happens_before else 1
 
 

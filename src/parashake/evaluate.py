@@ -8,7 +8,7 @@ fixed tree, the digest is independent of evaluation order.
 Both executors assemble each node's f-input with `materialize_node`,
 once per node.  The message is converted to bytes once per evaluation;
 a message segment is read as the byte window that holds it, and frame
-bits are integers cached on their segments, so assembly is linear in the
+bits are integers stored on their segments, so assembly is linear in the
 tree's size.
 
 `evaluate_sequential` is the oracle.  It checks its node order against
@@ -88,10 +88,8 @@ def materialize_node(node: NodeLayout, data: bytes, message_bits: int,
             cv = values.get(seg.producer)
             if cv is not None:
                 acc |= cv.value << pos
-        elif isinstance(seg, FrameBits):
+        elif isinstance(seg, (FrameBits, AlignPad)):
             acc |= seg.value << pos
-        elif isinstance(seg, AlignPad):
-            acc |= 1 << pos
         else:
             raise TypeError("unknown segment %r" % (seg,))
         pos += seg.length

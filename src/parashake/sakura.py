@@ -8,10 +8,12 @@ performs no padding of its own.
 
 Layout conventions:
 
-* Frame integers are bytes in stream order, least-significant bit first
-  within each byte.  The coded chaining-value count is two bytes (value,
-  then a length byte of 1); the no-interleaving marker is two bytes of
-  all ones.
+* Frame bits are integers stored on their segments: bit i of a
+  segment's `value` is its i-th bit in stream order, so multi-bit fields
+  are bytes in stream order, least-significant bit first within each
+  byte.  The coded chaining-value count is two bytes (value, then a
+  length byte of 1); the no-interleaving marker is two bytes of all
+  ones.
 * Each node ends with marker bits ('1' for the final node, '10' for
   inner nodes), the suffix '11' and the multi-rate pad '1 0^z 1'.  Nodes
   designed rate-full have z = 0, i.e. they end with the literal 1111.
@@ -31,20 +33,15 @@ from .sponge import CV_BITS, RATE_BITS
 
 MAX_CVS = 255
 
-_NO_INTERLEAVING = (0xFF, 0xFF)
+_NO_INTERLEAVING = 0xFFFF
 
 
-def _byte_bits(value: int) -> str:
-    return "".join("1" if (value >> i) & 1 else "0" for i in range(8))
-
-
-def chaining_frame_bits(n_cv: int) -> str:
-    """Frame tail of a chaining hop: coded count, interleaving marker, '0'."""
+def chaining_frame_bits(n_cv: int) -> "FrameBits":
+    """Frame tail of a chaining hop: coded count (the count byte, then a
+    length byte of 1), the interleaving marker and '0'."""
     if not 1 <= n_cv <= MAX_CVS:
         raise TooManyChainingValues("chaining hop must hold 1..255 values")
-    return (_byte_bits(n_cv) + _byte_bits(1)
-            + _byte_bits(_NO_INTERLEAVING[0]) + _byte_bits(_NO_INTERLEAVING[1])
-            + "0")
+    return FrameBits(n_cv | 1 << 8 | _NO_INTERLEAVING << 16, 33)
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +124,20 @@ class MessageBits:
     length: int
 
 
+def _render(value: int, length: int) -> str:
+    """`length` bits of `value` as a '0'/'1' string in stream order."""
+    return bin(value | 1 << length)[:2:-1]
+
+
 @dataclass(frozen=True)
 class FrameBits:
-    bits: str
+    """`length` frame bits; bit i of `value` is stream bit i."""
+    value: int
+    length: int
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
-
-    @cached_property
-    def value(self) -> int:
-        """The bits as an integer, bit i being character i."""
-        return int(self.bits[::-1], 2) if self.bits else 0
+    def bits(self) -> str:
+        return _render(self.value, self.length)
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,11 @@ class CVSlot:
 class AlignPad:
     """Alignment pad '1' followed by `zeros` zero bits."""
     zeros: int
+    value = 1
 
     @property
     def bits(self) -> str:
-        return "1" + "0" * self.zeros
+        return _render(1, self.length)
 
     @property
     def length(self) -> int:
@@ -269,7 +269,7 @@ def encode_message_hop(offset: int, length: int) -> list:
     segs = []
     if length:
         segs.append(MessageBits(offset, length))
-    segs.append(FrameBits("1"))
+    segs.append(FrameBits(1, 1))
     return segs
 
 
@@ -277,16 +277,16 @@ def encode_chaining_hop(producers) -> list:
     """One chaining-value slot per producer, then the coded count, the
     no-interleaving marker and the closing '0' (512*n + 33 bits)."""
     segs = [CVSlot(p) for p in producers]
-    segs.append(FrameBits(chaining_frame_bits(len(segs))))
+    segs.append(chaining_frame_bits(len(segs)))
     return segs
 
 
-def _tail_bits(is_final: bool, content_bits: int) -> str:
-    """Node tail: marker, suffix '11' and multi-rate pad '1 0^z 1'."""
-    marker = "1" if is_final else "10"
-    base = content_bits + len(marker) + 4
-    z = (-base) % RATE_BITS
-    return marker + "11" + "1" + "0" * z + "1"
+def _tail_bits(is_final: bool, content_bits: int) -> FrameBits:
+    """Node tail: marker ('1' final, '10' inner), suffix '11' and
+    multi-rate pad '1 0^z 1'."""
+    marker = 1 if is_final else 2
+    z = -(content_bits + marker + 4) % RATE_BITS
+    return FrameBits(1 | 0b111 << marker | 1 << marker + 3 + z, marker + 4 + z)
 
 
 def encode_node(first, chain=(), is_final: bool = False,
@@ -346,7 +346,7 @@ def encode_node(first, chain=(), is_final: bool = False,
                 target = ((need + RATE_BITS - 1) // RATE_BITS) * RATE_BITS
                 put(AlignPad(target - tail_len - hop_len - pos - 1))
             else:
-                put(FrameBits("1"))
+                put(FrameBits(1, 1))
             for seg in encode_chaining_hop(slots(hop)):
                 put(seg)
     elif chain:
@@ -356,11 +356,11 @@ def encode_node(first, chain=(), is_final: bool = False,
         if len(merged) > MAX_CVS:
             raise TooManyChainingValues(
                 "compacted hop would hold %d values" % len(merged))
-        put(FrameBits("1"))
+        put(FrameBits(1, 1))
         for seg in encode_chaining_hop(merged):
             put(seg)
 
-    put(FrameBits(_tail_bits(is_final, pos)))
+    put(_tail_bits(is_final, pos))
     return NodeLayout(tuple(segs), is_final)
 
 
@@ -407,20 +407,6 @@ def map_hop_tree_to_node_tree(tree: HopTree, compaction: str = "aligned",
 # ---------------------------------------------------------------------------
 # Validation
 
-def _tokens(node: NodeLayout) -> list:
-    toks = []
-    for seg in node.segments:
-        if isinstance(seg, MessageBits):
-            toks.append(("m", seg.length))
-        elif isinstance(seg, CVSlot):
-            toks.append(("c", seg.producer))
-        elif isinstance(seg, (FrameBits, AlignPad)):
-            toks.extend(("f", ch) for ch in seg.bits)
-        else:
-            raise TypeError("unknown segment %r" % (seg,))
-    return toks
-
-
 def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
     """Parse the node right to left under the tree coding rules.
 
@@ -428,83 +414,80 @@ def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
     suffix, multi-rate pad, alignment pads, the coded chaining-value
     count against the actual slot count, and the interleaving marker.
     """
-    toks = _tokens(node)
-    i = len(toks) - 1
+    frame = mask = 0        # the frame bits, and which positions they fill
+    messages, cvs = {}, {}  # end position -> start of each such segment
+    p = 0
+    for seg in node.segments:
+        if isinstance(seg, MessageBits):
+            messages[p + seg.length] = p
+        elif isinstance(seg, CVSlot):
+            cvs[p + seg.length] = p
+        elif isinstance(seg, (FrameBits, AlignPad)):
+            frame |= seg.value << p
+            mask |= ((1 << seg.length) - 1) << p
+        else:
+            raise TypeError("unknown segment %r" % (seg,))
+        p += seg.length
+    stops = frame | mask ^ ((1 << p) - 1)   # every bit but a frame '0'
+    # p counts the bits not yet read; the next one read is bit p - 1
 
     def fail(msg: str):
         raise GrammarError(msg)
 
-    def take_frame(expect: str | None = None) -> str:
-        nonlocal i
-        if i < 0 or toks[i][0] != "f":
+    def take_frame(expect: int | None = None) -> int:
+        nonlocal p
+        if p <= 0 or not mask >> (p - 1) & 1:
             fail("expected a frame bit")
-        bit = toks[i][1]
+        p -= 1
+        bit = frame >> p & 1
         if expect is not None and bit != expect:
-            fail("frame bit %r where %r was required" % (bit, expect))
-        i -= 1
+            fail("frame bit '%d' where '%d' was required" % (bit, expect))
         return bit
 
-    def skip_zeros() -> int:
-        nonlocal i
-        n = 0
-        while i >= 0 and toks[i] == ("f", "0"):
-            i -= 1
-            n += 1
-        return n
+    def skip_zeros() -> None:
+        nonlocal p
+        p = (stops & ((1 << p) - 1)).bit_length()
 
     try:
-        # multi-rate pad, backwards: '1', zeros, '1'
-        take_frame("1")
+        # backwards: the multi-rate pad '1 0^z 1', the suffix '11' and the
+        # node marker ('1' final, '10' inner)
+        take_frame(1)
         skip_zeros()
-        take_frame("1")
-        # suffix '11'
-        take_frame("1")
-        take_frame("1")
-        # node marker
-        if node.is_final:
-            take_frame("1")
-        else:
-            take_frame("0")
-            take_frame("1")
+        for expect in (1, 1, 1, 1) if node.is_final else (1, 1, 1, 0, 1):
+            take_frame(expect)
         # hops
         while True:
-            if i < 0:
+            if p <= 0:
                 fail("node has no hops")
-            kind, val = toks[i]
-            if kind == "f" and val == "0":
-                i -= 1
-                coded = []
-                for _ in range(32):
-                    coded.append(take_frame())
-                coded.reverse()
-                count = sum(1 << k for k, b in enumerate(coded[0:8]) if b == "1")
-                length_byte = sum(1 << k for k, b in enumerate(coded[8:16]) if b == "1")
-                marker = sum(1 << k for k, b in enumerate(coded[16:32]) if b == "1")
-                if marker != _NO_INTERLEAVING[0] | _NO_INTERLEAVING[1] << 8:
-                    fail("bad interleaving marker")
-                if length_byte != 1:
-                    fail("bad coded-count length byte")
-                if not 1 <= count <= MAX_CVS:
-                    fail("coded chaining-value count out of range")
-                got = 0
-                while i >= 0 and toks[i][0] == "c":
-                    i -= 1
-                    got += 1
-                if got != count:
-                    fail("coded count %d disagrees with %d slots" % (count, got))
-                if i < 0:
-                    break               # chaining hop opens the node
-                skip_zeros()
-                take_frame("1")         # pad before this hop
-                continue
-            if kind == "f" and val == "1":
-                i -= 1                  # message hop terminator
-                if i >= 0 and toks[i][0] == "m":
-                    i -= 1
-                if i >= 0:
+            if not mask >> (p - 1) & 1:
+                fail("unexpected %s token inside frame position"
+                     % ("m" if p in messages else "c"))
+            if take_frame():
+                p = messages.get(p, p)  # message hop terminator, message
+                if p > 0:
                     fail("message hop is not at the start of the node")
                 break
-            fail("unexpected %s token inside frame position" % kind)
+            if p < 32 or mask >> (p - 32) & 0xFFFFFFFF != 0xFFFFFFFF:
+                fail("expected a frame bit")
+            p -= 32
+            coded = frame >> p & 0xFFFFFFFF
+            count = coded & 0xFF
+            if coded >> 16 != _NO_INTERLEAVING:
+                fail("bad interleaving marker")
+            if coded >> 8 & 0xFF != 1:
+                fail("bad coded-count length byte")
+            if not 1 <= count <= MAX_CVS:
+                fail("coded chaining-value count out of range")
+            got = 0
+            while p in cvs:
+                p = cvs.pop(p)      # popped, so a zero-length slot ends
+                got += 1
+            if got != count:
+                fail("coded count %d disagrees with %d slots" % (count, got))
+            if p <= 0:
+                break               # chaining hop opens the node
+            skip_zeros()
+            take_frame(1)           # pad before this hop
     except GrammarError as exc:
         return False, str(exc)
     return True, "ok"

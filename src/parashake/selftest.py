@@ -204,12 +204,9 @@ def suite_grammar(mutations: int = 200):
         frames = [(i, seg) for i, seg in enumerate(node.segments)
                   if isinstance(seg, (FrameBits, AlignPad))]
         idx, seg = rng.choice(frames)
-        bits = seg.bits
-        flip = rng.randrange(len(bits))
-        mutated = bits[:flip] + ("1" if bits[flip] == "0" else "0") + \
-            bits[flip + 1:]
+        flip = rng.randrange(seg.length)
         segments = list(node.segments)
-        segments[idx] = FrameBits(mutated)
+        segments[idx] = FrameBits(seg.value ^ 1 << flip, seg.length)
         twisted = type(node)(tuple(segments), node.is_final)
         ok, _ = validate_grammar(twisted)
         if not ok:

@@ -8,7 +8,8 @@ alpha + [i-1]).  The node tree is not stored: loading rebuilds it with
 and rejects a report whose node count or message length differs from
 the rebuilt tree.  sakura-plan/1 documents, which also list the nodes
 (ordered segment lists; frame and pad bits as 0/1 strings), are still
-read; their node list must equal the rebuilt one.  Every field read
+read; their node list must equal the rebuilt one, whose frame bits are
+rendered as strings for that check.  Every field read
 must have the type the dump writes (`true` is not an integer and `9.0`
 is not `9`).  Dumping is canonical and writes /2 only, so a /2 document
 that loads dumps back to its own canonical JSON.
@@ -51,21 +52,16 @@ def _field(row: dict, key: str, *types):
 
 def _hops_to_json(tree: HopTree) -> list:
     rows = []
-
-    def walk(index, hop):
+    for index, hop in iter_hops(tree):
         if isinstance(hop, MessageHop):
             rows.append({"index": list(index), "kind": "message",
                          "offset_bits": hop.offset,
                          "length_bits": hop.length})
-            return
-        rows.append({"index": list(index), "kind": "chaining",
-                     "kangaroo_first_child": hop.kangaroo_first,
-                     "aligned": hop.aligned,
-                     "child_count": len(hop.children)})
-        for i, child in enumerate(hop.children):
-            walk(index + (i,), child)
-
-    walk((), tree.root)
+        else:
+            rows.append({"index": list(index), "kind": "chaining",
+                         "kangaroo_first_child": hop.kangaroo_first,
+                         "aligned": hop.aligned,
+                         "child_count": len(hop.children)})
     return rows
 
 

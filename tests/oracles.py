@@ -94,9 +94,23 @@ def state_to_bits(lanes) -> BitString:
     return BitString(value, 1600)
 
 
+# ---------------------------------------------------------------------------
+# Bits written as '0'/'1' strings in stream order (index 0 first).
+
+
+def from01(text: str) -> BitString:
+    value = 0
+    for i, ch in enumerate(text):
+        if ch == "1":
+            value |= 1 << i
+        elif ch != "0":
+            raise ValueError("invalid bit character %r" % ch)
+    return BitString(value, len(text))
+
+
 def frame(text: str) -> FrameBits:
-    """A frame segment written as a '0'/'1' string in stream order."""
-    return FrameBits(text)
+    bits = from01(text)
+    return FrameBits(bits.value, bits.length)
 
 
 # ---------------------------------------------------------------------------

@@ -260,12 +260,9 @@ def test_criterion_8_grammar_robustness():
         frames = [(i, seg) for i, seg in enumerate(node.segments)
                   if isinstance(seg, (FrameBits, AlignPad))]
         idx, seg = frames[rng.randrange(len(frames))]
-        bits = seg.bits
-        flip = rng.randrange(len(bits))
-        mutated = bits[:flip] + ("1" if bits[flip] == "0" else "0") + \
-            bits[flip + 1:]
+        flip = rng.randrange(seg.length)
         segments = list(node.segments)
-        segments[idx] = FrameBits(mutated)
+        segments[idx] = FrameBits(seg.value ^ 1 << flip, seg.length)
         twisted = NodeLayout(tuple(segments), node.is_final)
         ok, _ = validate_grammar(twisted)
         assert not ok, (idx, flip)

@@ -196,6 +196,19 @@ def test_missing_file_is_reported(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("hash", "--hex", "00", "--emit-tree"),
+    ("hash", "--hex", "00", "--emit-schedule"),
+    ("analyze", "--size-bits", "100000", "--emit-schedule"),
+])
+def test_unwritable_emit_path_prints_no_report(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv,
+                             str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("hexstr", ["zz", "abc", "0g"])
 def test_bad_hex_is_reported(capsys, hexstr):
     code, out, err = run_cli(capsys, "hash", "--hex", hexstr)

@@ -243,4 +243,4 @@ def test_materialize_node_assembles_stream(rng):
     assert len(bits) == 1088
     assert bits.slice(0, 42) == message
     # message hop marker and final marker follow the message
-    assert bits[42] == 1 and bits[43] == 1
+    assert bits.value >> 42 & 1 == 1 and bits.value >> 43 & 1 == 1

@@ -97,8 +97,8 @@ def test_chaining_hop_lengths():
 def test_chaining_frame_bit_pattern():
     # {4}{no interleaving}0: count byte 4, length byte 1, two 0xFF bytes
     bits = chaining_frame_bits(4)
-    assert len(bits) == 33
-    assert bits == "00100000" + "10000000" + "11111111" * 2 + "0"
+    assert bits.length == 33
+    assert bits == frame("00100000" + "10000000" + "11111111" * 2 + "0")
     with pytest.raises(TooManyChainingValues):
         chaining_frame_bits(256)
 
@@ -265,18 +265,18 @@ def test_constructed_nodes_validate(rng):
 def test_wrong_suffix_rejected():
     node = encode_node(MessageHop(0, 1081), (), is_final=False)
     tail = node.segments[-1]
-    bad = FrameBits(tail.bits[:-4] + "1101")
+    bad = frame(tail.bits[:-4] + "1101")
     mutated = NodeLayout(node.segments[:-1] + (bad,), node.is_final)
     ok, why = validate_grammar(mutated)
     assert not ok
 
 
 def test_coded_count_mismatch_rejected():
-    segs = [MessageBits(0, 100), FrameBits("1"), FrameBits("1"),
-            CVSlot(0), CVSlot(1), FrameBits(chaining_frame_bits(3))]
+    segs = [MessageBits(0, 100), frame("1"), frame("1"),
+            CVSlot(0), CVSlot(1), chaining_frame_bits(3)]
     total = sum(s.length for s in segs)
     pad = (-(total + 6)) % 1088
-    segs.append(FrameBits("10" + "11" + "1" + "0" * pad + "1"))
+    segs.append(frame("10" + "11" + "1" + "0" * pad + "1"))
     node = NodeLayout(tuple(segs), is_final=False)
     ok, why = validate_grammar(node)
     assert not ok and "disagrees" in why
@@ -300,7 +300,7 @@ def test_every_frame_bit_mutation_rejected(rng):
                            ("1" if bits[flip] == "0" else "0") +
                            bits[flip + 1:])
                 segments = list(node.segments)
-                segments[idx] = FrameBits(mutated)
+                segments[idx] = frame(mutated)
                 twisted = NodeLayout(tuple(segments), node.is_final)
                 ok, _ = validate_grammar(twisted)
                 assert not ok, (idx, flip)
@@ -354,6 +354,11 @@ GRAMMAR_DIAGNOSES = [
                          ids=[d for _, d in GRAMMAR_DIAGNOSES])
 def test_grammar_diagnosis(node, diagnosis):
     assert validate_grammar(node) == (diagnosis == "ok", diagnosis)
+
+
+def test_zero_length_cv_slot_is_read_once():
+    node = _closed([CVSlot(0, 0), _coded(1)])
+    assert validate_grammar(node) == (True, "ok")
 
 
 def test_fragment_trees_validate():

@@ -146,10 +146,11 @@ def test_max_concurrency():
 
 
 def test_cycle_detection():
-    from parashake.sakura import (CVSlot, FrameBits, NodeLayout, NodeTree,
+    from oracles import frame
+    from parashake.sakura import (CVSlot, NodeLayout, NodeTree,
                                   chaining_frame_bits)
-    segs = (CVSlot(1), FrameBits(chaining_frame_bits(1)),
-            FrameBits("1" + "11" + "1" + "0" * (1088 - 545 - 5) + "1"))
+    segs = (CVSlot(1), chaining_frame_bits(1),
+            frame("1" + "11" + "1" + "0" * (1088 - 545 - 5) + "1"))
     node = NodeLayout(segs, is_final=True)
     loop = NodeTree((node,), 0)
     with pytest.raises(DependencyCycleError):

@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from oracles import from01
 from parashake import keccak, sakura, sponge
 from parashake.bits import BitString
 from parashake.errors import BlockAlignmentError, OutputLengthError
@@ -76,7 +77,7 @@ def test_inner_f_alignment_errors():
 def test_empty_message_node_equals_shake256():
     # A lone final message hop frames the empty message as '11'; with the
     # suffix and pad this is exactly the stream standard SHAKE256 absorbs.
-    node = BitString.from01("11" + "11" + "1" + "0" * 1082 + "1")
+    node = from01("11" + "11" + "1" + "0" * 1082 + "1")
     assert len(node) == 1088
     cv, calls = inner_f(node)
     assert calls == 1
