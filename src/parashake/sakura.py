@@ -480,7 +480,7 @@ def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
                 fail("coded chaining-value count out of range")
             got = 0
             while p in cvs:
-                p = cvs.pop(p)      # popped, so a zero-length slot ends
+                p = cvs.pop(p)      # popped: a zero-length slot ends the loop
                 got += 1
             if got != count:
                 fail("coded count %d disagrees with %d slots" % (count, got))
