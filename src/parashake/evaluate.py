@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from . import keccak, scheduler
 from .bits import BitString
 from .errors import DependencyCycleError, SliceRangeError
-from .sakura import (AlignPad, CVSlot, FrameBits, MessageBits, NodeLayout,
-                     NodeTree)
+from .sakura import CVSlot, FrameBits, MessageBits, NodeLayout, NodeTree
 from .sponge import (CV_BITS, RATE_BITS, check_out_bits, inner_f, squeeze,
                      xof_output)
 
@@ -88,7 +87,7 @@ def materialize_node(node: NodeLayout, data: bytes, message_bits: int,
             cv = values.get(seg.producer)
             if cv is not None:
                 acc |= cv.value << pos
-        elif isinstance(seg, (FrameBits, AlignPad)):
+        elif isinstance(seg, FrameBits):
             acc |= seg.value << pos
         else:
             raise TypeError("unknown segment %r" % (seg,))

@@ -17,8 +17,9 @@ Layout conventions:
 * Each node ends with marker bits ('1' for the final node, '10' for
   inner nodes), the suffix '11' and the multi-rate pad '1 0^z 1'.  Nodes
   designed rate-full have z = 0, i.e. they end with the literal 1111.
-* Chaining hops flagged `aligned` are placed flush against the end of a
-  fresh rate block, preceded by an alignment pad '1 0^z', so each one is
+* Every chaining hop after a node's first hop is preceded by frame bits
+  '1 0^z'.  z is 0 unless the hop is flagged `aligned`: then the z zeros
+  pad it flush against the end of a fresh rate block, so each one is
   absorbed by a single permutation call.
 """
 
@@ -124,41 +125,17 @@ class MessageBits:
     length: int
 
 
-def _render(value: int, length: int) -> str:
-    """`length` bits of `value` as a '0'/'1' string in stream order."""
-    return bin(value | 1 << length)[:2:-1]
-
-
 @dataclass(frozen=True)
 class FrameBits:
     """`length` frame bits; bit i of `value` is stream bit i."""
     value: int
     length: int
 
-    @property
-    def bits(self) -> str:
-        return _render(self.value, self.length)
-
 
 @dataclass(frozen=True)
 class CVSlot:
     producer: int = -1
     length: int = CV_BITS
-
-
-@dataclass(frozen=True)
-class AlignPad:
-    """Alignment pad '1' followed by `zeros` zero bits."""
-    zeros: int
-    value = 1
-
-    @property
-    def bits(self) -> str:
-        return _render(1, self.length)
-
-    @property
-    def length(self) -> int:
-        return 1 + self.zeros
 
 
 @dataclass(frozen=True)
@@ -341,12 +318,8 @@ def encode_node(first, chain=(), is_final: bool = False,
             hop_len = hop.n_cv * CV_BITS + 33
             last = idx == len(chain) - 1
             tail_len = (1 if is_final else 2) + 4 if last else 0
-            if hop.aligned:
-                need = pos + 1 + hop_len + tail_len
-                target = ((need + RATE_BITS - 1) // RATE_BITS) * RATE_BITS
-                put(AlignPad(target - tail_len - hop_len - pos - 1))
-            else:
-                put(FrameBits(1, 1))
+            zeros = -(pos + 1 + hop_len + tail_len) % RATE_BITS
+            put(FrameBits(1, 1 + zeros if hop.aligned else 1))
             for seg in encode_chaining_hop(slots(hop)):
                 put(seg)
     elif chain:
@@ -422,7 +395,7 @@ def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
             messages[p + seg.length] = p
         elif isinstance(seg, CVSlot):
             cvs[p + seg.length] = p
-        elif isinstance(seg, (FrameBits, AlignPad)):
+        elif isinstance(seg, FrameBits):
             frame |= seg.value << p
             mask |= ((1 << seg.length) - 1) << p
         else:

@@ -14,7 +14,7 @@ from importlib import resources
 from . import keccak, planner, scheduler, treeio
 from .bits import BitString
 from .evaluate import evaluate_parallel, evaluate_sequential
-from .sakura import (AlignPad, FrameBits, HopTree, MessageHop,
+from .sakura import (FrameBits, HopTree, MessageHop,
                      map_hop_tree_to_node_tree, validate_grammar,
                      validate_node_tree)
 from .sponge import shake256
@@ -202,7 +202,7 @@ def suite_grammar(mutations: int = 200):
     for _ in range(mutations):
         node = rng.choice(nodes)
         frames = [(i, seg) for i, seg in enumerate(node.segments)
-                  if isinstance(seg, (FrameBits, AlignPad))]
+                  if isinstance(seg, FrameBits)]
         idx, seg = rng.choice(frames)
         flip = rng.randrange(seg.length)
         segments = list(node.segments)

@@ -6,13 +6,11 @@ final hop has the empty index, child i of a hop indexed alpha has index
 alpha + [i-1]).  The node tree is not stored: loading rebuilds it with
 `map_hop_tree_to_node_tree`, so it cannot disagree with the hop tree,
 and rejects a report whose node count or message length differs from
-the rebuilt tree.  sakura-plan/1 documents, which also list the nodes
-(ordered segment lists; frame and pad bits as 0/1 strings), are still
-read; their node list must equal the rebuilt one, whose frame bits are
-rendered as strings for that check.  Every field read
-must have the type the dump writes (`true` is not an integer and `9.0`
-is not `9`).  Dumping is canonical and writes /2 only, so a /2 document
-that loads dumps back to its own canonical JSON.
+the rebuilt tree.  It is the only plan schema: a document of any other
+schema, the /1 documents that also listed the nodes included, is
+rejected.  Every field read must have the type the dump writes (`true`
+is not an integer and `9.0` is not `9`).  Dumping is canonical, so a
+document that loads dumps back to its own canonical JSON.
 """
 
 from __future__ import annotations
@@ -23,13 +21,11 @@ import typing
 
 from .errors import GrammarError, TreeHashError
 from .planner import Plan, PlanReport
-from .sakura import (ChainingHop, CVSlot, FrameBits, HopTree, MessageBits,
-                     MessageHop, NodeTree, iter_hops,
+from .sakura import (ChainingHop, HopTree, MessageHop, iter_hops,
                      map_hop_tree_to_node_tree)
 from .scheduler import Schedule
 
 PLAN_SCHEMA = "sakura-plan/2"
-PLAN_SCHEMA_1 = "sakura-plan/1"     # still read; its node list is checked
 SCHEDULE_SCHEMA = "sakura-schedule/1"
 
 
@@ -100,25 +96,6 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
 
 
 # ---------------------------------------------------------------------------
-# nodes
-
-def _nodes_to_json(tree: NodeTree) -> list:
-    """The node list a sakura-plan/1 document holds for `tree`."""
-    def segment(seg):
-        if isinstance(seg, MessageBits):
-            return {"kind": "message", "offset_bits": seg.offset,
-                    "length_bits": seg.length}
-        if isinstance(seg, CVSlot):
-            return {"kind": "cv", "producer": seg.producer}
-        kind = "frame" if isinstance(seg, FrameBits) else "align_pad"
-        return {"kind": kind, "bits": seg.bits}
-
-    return [{"id": nid, "final": node.is_final, "bits": node.total_bits,
-             "segments": [segment(s) for s in node.segments]}
-            for nid, node in enumerate(tree.nodes)]
-
-
-# ---------------------------------------------------------------------------
 # plans
 
 def dump_plan(plan: Plan) -> str:
@@ -138,8 +115,7 @@ def load_plan(text: str | bytes) -> Plan:
     `TreeHashError`."""
     try:
         doc = json.loads(text)
-        if not isinstance(doc, dict) or doc.get("schema") not in (
-                PLAN_SCHEMA, PLAN_SCHEMA_1):
+        if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
             raise GrammarError("not a %s document" % PLAN_SCHEMA)
         message_bits = _field(doc, "message_bits", int)
         compaction = doc["compaction"]
@@ -152,9 +128,6 @@ def load_plan(text: str | bytes) -> Plan:
         if (report.node_count != node_tree.node_count
                 or report.message_bits != message_bits):
             raise GrammarError("report disagrees with the hop tree")
-        if (doc["schema"] == PLAN_SCHEMA_1
-                and doc["nodes"] != _nodes_to_json(node_tree)):
-            raise GrammarError("node list disagrees with the hop tree")
         return Plan(report.strategy, compaction, hop_tree, node_tree, report)
     except TreeHashError:
         raise

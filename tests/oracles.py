@@ -113,6 +113,17 @@ def frame(text: str) -> FrameBits:
     return FrameBits(bits.value, bits.length)
 
 
+def text01(seg: FrameBits) -> str:
+    """The inverse of `frame`."""
+    return "".join(str(seg.value >> i & 1) for i in range(seg.length))
+
+
+def is_pad(seg) -> bool:
+    """Whether `seg` is an alignment pad '1 0^z' with z >= 1.  With z = 0
+    it is the '1' that also opens every chaining hop not aligned."""
+    return isinstance(seg, FrameBits) and seg.value == 1 and seg.length > 1
+
+
 # ---------------------------------------------------------------------------
 # Longest-path depth over the block-dependency DAG.
 

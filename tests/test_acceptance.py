@@ -8,7 +8,8 @@ criterion fixes one.
 import random
 import time
 
-from oracles import brute_force_model_choice, random_topological_order
+from oracles import (brute_force_model_choice, random_topological_order,
+                     text01)
 from parashake import planner, scheduler
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
@@ -16,7 +17,7 @@ from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
                                plan_compacted, plan_compacted_relaxed,
                                plan_ternary, select_model)
-from parashake.sakura import (AlignPad, ChainingHop, FrameBits, HopTree,
+from parashake.sakura import (ChainingHop, FrameBits, HopTree,
                               MessageHop, NodeLayout,
                               map_hop_tree_to_node_tree, node_bit_cost,
                               validate_grammar, validate_node_tree)
@@ -72,7 +73,7 @@ def test_criterion_2_node_size_formulas():
             node = _encode(role, "kangaroo", l, n_cv)
             expect = node_bit_cost(role, kind, l=l, n_cv=n_cv)
         tail = node.segments[-1]
-        fill = len(tail.bits) - (1 if is_final else 2) - 4
+        fill = tail.length - (1 if is_final else 2) - 4
         assert node.total_bits - 4 - fill == expect, (role, kind, l, n_cv)
         cases += 1
     # rate-full instances carry the literal 1111 with no fill at all
@@ -83,7 +84,7 @@ def test_criterion_2_node_size_formulas():
         node = _encode(role, kind, l, n_cv)
         assert node.total_bits - 4 == node_bit_cost(
             role, kind, l=l, n_cv=n_cv)
-        assert node.segments[-1].bits.endswith("1111")
+        assert text01(node.segments[-1]).endswith("1111")
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, "budget exceeded: %.2fs" % elapsed
     _report(2, "%d randomized cases across six classes in %.2fs"
@@ -116,7 +117,7 @@ def test_criterion_3_model_table_fidelity():
             for node in tree.nodes:
                 tail = node.segments[-1]
                 marker = 1 if node.is_final else 2
-                assert len(tail.bits) == marker + 4, (model.id, "slack")
+                assert tail.length == marker + 4, (model.id, "slack")
         # one more bit than the final-hop capacity must not fit
         try:
             build_model_subtree(model.id, 0, model.message_bits + 2, True)
@@ -258,7 +259,7 @@ def test_criterion_8_grammar_robustness():
     for _ in range(mutations):
         node = nodes[rng.randrange(len(nodes))]
         frames = [(i, seg) for i, seg in enumerate(node.segments)
-                  if isinstance(seg, (FrameBits, AlignPad))]
+                  if isinstance(seg, FrameBits)]
         idx, seg = frames[rng.randrange(len(frames))]
         flip = rng.randrange(seg.length)
         segments = list(node.segments)

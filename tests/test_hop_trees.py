@@ -14,6 +14,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_pad
 from parashake import treeio
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
@@ -56,8 +57,8 @@ def _grow_first_hop(shape, bits: int):
 def _first_pad_zeros(shape) -> int:
     """Zeros of the first alignment pad in the root node of `shape`."""
     root = map_hop_tree_to_node_tree(_tree(shape)).nodes[-1]
-    return next((seg.length - 1 for seg in root.segments
-                 if getattr(seg, "value", None) == 1 and seg.length > 1), 0)
+    return next((seg.length - 1 for seg in root.segments if is_pad(seg)),
+                0)
 
 
 def draw_case(randint) -> tuple:

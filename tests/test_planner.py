@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from oracles import brute_force_model_choice
+from oracles import brute_force_model_choice, is_pad
 from parashake import planner, scheduler
 from parashake.errors import MessageTooShortError, NodeCapacityError
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
@@ -248,11 +248,10 @@ def test_compacted_fig_sizes():
 
 
 def test_compacted_has_no_alignment_pads():
-    from parashake.sakura import AlignPad
     for n in (29457, 9884, 123456):
         p = plan_compacted(n)
         for node in p.node_tree.nodes:
-            assert not any(isinstance(s, AlignPad) for s in node.segments)
+            assert not any(is_pad(s) for s in node.segments)
 
 
 def test_compacted_sweep(rng):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frame
+from oracles import frame, is_pad, text01
 from parashake import planner
 from parashake.errors import (GrammarError, SliceRangeError,
                               TooManyChainingValues)
-from parashake.sakura import (AlignPad, ChainingHop, CVSlot, FrameBits,
+from parashake.sakura import (ChainingHop, CVSlot, FrameBits,
                               HopTree, MessageBits, MessageHop, NodeLayout,
                               chaining_frame_bits, encode_chaining_hop,
                               encode_message_hop, encode_node, iter_hops,
@@ -21,7 +21,7 @@ def tail_fill_zeros(node: NodeLayout) -> int:
     tail = node.segments[-1]
     assert isinstance(tail, FrameBits)
     marker = 1 if node.is_final else 2
-    return len(tail.bits) - marker - 4
+    return tail.length - marker - 4
 
 
 def sakura_size(node: NodeLayout) -> int:
@@ -85,7 +85,7 @@ def test_message_hop_encoding():
     assert [type(s) for s in encode_message_hop(0, 0)] == [FrameBits]
     segs = encode_message_hop(5, 9)
     assert sum(s.length for s in segs) == 10
-    assert segs[-1].bits == "1"
+    assert segs[-1] == FrameBits(1, 1)
 
 
 def test_chaining_hop_lengths():
@@ -151,7 +151,7 @@ def test_aligned_extra_hop_gets_own_block():
     positions = [p for p, _ in node.cv_positions()]
     # the upper hop's values live entirely in the third block
     assert positions[2] >= 2176 and positions[3] + 512 <= 3264
-    assert any(isinstance(s, AlignPad) for s in node.segments)
+    assert any(is_pad(s) for s in node.segments)
     assert tail_fill_zeros(node) == 0
 
 
@@ -174,7 +174,7 @@ def test_compacted_merge():
     node = encode_node(MessageHop(0, 1111), [base, upper], is_final=True,
                        align_to_rate=False, producer_ids=[0, 1, 2, 3])
     # one merged chaining hop: 4 slots, a single 33-bit frame, no pads
-    assert not any(isinstance(s, AlignPad) for s in node.segments)
+    assert not any(is_pad(s) for s in node.segments)
     assert sum(1 for s in node.segments if isinstance(s, CVSlot)) == 4
     ok, why = validate_grammar(node)
     assert ok, why
@@ -237,8 +237,8 @@ def test_compacted_mapping_single_chain_hop_per_node():
     assert compacted.node_count == plan.node_tree.node_count
     for node in compacted.nodes:
         frames = [s for s in node.segments if isinstance(s, FrameBits)]
-        assert sum(1 for f in frames if len(f.bits) == 33) <= 1
-        assert not any(isinstance(s, AlignPad) for s in node.segments)
+        assert sum(1 for f in frames if f.length == 33) <= 1
+        assert not any(is_pad(s) for s in node.segments)
 
 
 def test_message_coverage_is_checked():
@@ -265,7 +265,7 @@ def test_constructed_nodes_validate(rng):
 def test_wrong_suffix_rejected():
     node = encode_node(MessageHop(0, 1081), (), is_final=False)
     tail = node.segments[-1]
-    bad = frame(tail.bits[:-4] + "1101")
+    bad = frame(text01(tail)[:-4] + "1101")
     mutated = NodeLayout(node.segments[:-1] + (bad,), node.is_final)
     ok, why = validate_grammar(mutated)
     assert not ok
@@ -290,9 +290,9 @@ def test_every_frame_bit_mutation_rejected(rng):
     checked = 0
     for node in nodes:
         for idx, seg in enumerate(node.segments):
-            if not isinstance(seg, (FrameBits, AlignPad)):
+            if not isinstance(seg, FrameBits):
                 continue
-            bits = seg.bits
+            bits = text01(seg)
             for flip in range(len(bits)):
                 if checked >= 400:
                     return

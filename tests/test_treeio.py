@@ -1,7 +1,6 @@
 """Wire formats: canonical dumps, lossless loads, defect detection."""
 
 import json
-import pathlib
 
 import pytest
 
@@ -19,7 +18,6 @@ def test_plan_roundtrip_is_byte_identical():
 
 
 SIZES = (0, 1, 2170, 2171, 3275, 29457, 10**5)
-DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_loaded_plan_equals_original():
@@ -73,27 +71,6 @@ def test_load_rejects_bad_documents():
     broken["compaction"] = "sparse"
     with pytest.raises(GrammarError):
         treeio.load_plan(json.dumps(broken))
-
-
-@pytest.mark.parametrize("strategy", ["ternary", "compacted"])
-def test_version_1_document_loads_to_the_same_plan(strategy):
-    # written by the planner before plan documents dropped the node list
-    text = (DATA / ("plan_v1_%s_9819.json" % strategy)).read_text()
-    assert json.loads(text)["schema"] == "sakura-plan/1"
-    loaded = treeio.load_plan(text)
-    assert loaded == planner.plan(strategy, 9819)
-    assert loaded == treeio.load_plan(treeio.dump_plan(loaded))
-
-
-def test_forward_reference_fails_validation():
-    doc = json.loads((DATA / "plan_v1_ternary_9819.json").read_text())
-    # point one of the final node's slots at the final node itself
-    for seg in doc["nodes"][-1]["segments"]:
-        if seg["kind"] == "cv":
-            seg["producer"] = len(doc["nodes"]) - 1
-            break
-    with pytest.raises(GrammarError, match="node list disagrees"):
-        treeio.load_plan(json.dumps(doc))
 
 
 def test_schedule_document():
