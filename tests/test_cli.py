@@ -188,6 +188,23 @@ def test_selftest_corrupted_vectors(capsys, tmp_path):
     assert out.count("PASS") == 8
 
 
+@pytest.mark.parametrize("entry", [
+    {"message_hex": 5},
+    {"message_hex": "zz"},
+    {"message_bit_length": 99},
+    {"out_len_bits": -8},
+], ids=["hex-int", "hex-zz", "bit-length-99", "out-bits-negative"])
+def test_malformed_vectors_are_reported(capsys, tmp_path, entry):
+    bad = tmp_path / "vectors.json"
+    bad.write_text(json.dumps([dict(
+        {"message_hex": "ab", "message_bit_length": 8, "out_len_bits": 256,
+         "digest_hex": "00" * 32}, **entry)]))
+    code, out, err = run_cli(capsys, "selftest", "--quick", "--vectors",
+                             str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run_cli(capsys, "hash", "--in", "/nonexistent/xyz")
     assert code == 2
