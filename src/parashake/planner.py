@@ -246,32 +246,19 @@ def _small_final_plan(strategy: str, n: int) -> Plan:
                    "aligned")
 
 
-def _trimmed_node_count(model: ModelEntry, length: int) -> int:
-    nodes = 1
-    remaining = length - min(model.distribution[0], length)
-    for cap in model.distribution[1:]:
-        if remaining == 0:
-            break
-        nodes += 1
-        remaining -= min(cap, remaining)
-    return nodes
-
-
 def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
     """Cheapest subtree for a trailing part: a single message hop when
     its node fits the part time budget, otherwise the fitting catalogue
-    subtree with the fewest nodes."""
+    subtree with the fewest nodes (one per child hop), lowest id first."""
     if remainder <= RATE_BITS * t_budget - 7:
         return MessageHop(offset, remainder)
-    best = None
-    for model in MODELS[1:]:
-        if model.time_units > t_budget or model.message_bits < remainder:
-            continue
-        key = (_trimmed_node_count(model, remainder), model.id)
-        if best is None or key < best:
-            best = key
-    assert best is not None, "the bulk model always fits its own remainder"
-    return build_model_subtree(best[1], offset, remainder)
+    fitting = [build_model_subtree(model.id, offset, remainder)
+               for model in MODELS[1:]
+               if model.time_units <= t_budget
+               and model.message_bits >= remainder]
+    # min keeps the first of equal keys, which is the lowest model id; the
+    # bulk model always fits its own remainder
+    return min(fitting, key=lambda hop: len(hop.children))
 
 
 def plan_ternary(n: int) -> Plan:
