@@ -162,32 +162,25 @@ def dump_schedule(schedule: Schedule) -> str:
 
 def load_vectors(text: str | bytes) -> list:
     """Vector file: list of {message_hex, message_bit_length, out_len_bits,
-    digest_hex}.  The hex strings are strings and the lengths ints; the
-    message must be hex of at least `message_bit_length` bits and the
-    output at least one bit, or `GrammarError` is raised."""
+    digest_hex}, with hex strings, a bit length that fits the message
+    bytes and a positive output length; anything else raises
+    `GrammarError`."""
     try:
         rows = json.loads(text)
-    except ValueError as exc:
-        raise GrammarError("vector file is not JSON (%s)" % exc) from None
-    if not isinstance(rows, list):
-        raise GrammarError("vector file must hold a list")
-    for row in rows:
-        if not isinstance(row, dict):
-            raise GrammarError("vector entry must be an object")
-        for key in ("message_hex", "message_bit_length", "out_len_bits",
-                    "digest_hex"):
-            if key not in row:
-                raise GrammarError("vector entry is missing %r" % key)
-        _field(row, "digest_hex", str)
-        text = _field(row, "message_hex", str)
-        try:
-            message = bytes.fromhex(text)
-        except ValueError:
-            raise GrammarError("message_hex %r is not hex" % text) from None
-        bits = _field(row, "message_bit_length", int)
-        if not 0 <= bits <= 8 * len(message):
-            raise GrammarError("message_bit_length %d does not fit %d bytes"
-                               % (bits, len(message)))
-        if _field(row, "out_len_bits", int) < 1:
-            raise GrammarError("out_len_bits must be positive")
-    return rows
+        if not isinstance(rows, list):
+            raise GrammarError("vector file must hold a list")
+        for row in rows:
+            _field(row, "digest_hex", str)
+            message = bytes.fromhex(_field(row, "message_hex", str))
+            bits = _field(row, "message_bit_length", int)
+            if not 0 <= bits <= 8 * len(message):
+                raise GrammarError("message_bit_length %d is outside 0..%d"
+                                   % (bits, 8 * len(message)))
+            if _field(row, "out_len_bits", int) < 1:
+                raise GrammarError("out_len_bits must be positive")
+        return rows
+    except TreeHashError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise GrammarError("malformed vector file (%s: %s)"
+                           % (type(exc).__name__, exc)) from None
