@@ -3,8 +3,8 @@ without a happens-before violation, hashes to one digest and one call
 count under both executors, and survives a plan-document round trip.
 
 `data/hop_tree_digests.json` pins 32 seeded trees with their 512-bit
-digests.  `PYTHONPATH=src python tests/test_hop_trees.py` rewrites it; do that only when
-the function being computed is meant to change.
+digests.  `PYTHONPATH=src python tests/test_hop_trees.py` rewrites it;
+do that only when the function being computed is meant to change.
 """
 
 import json
