@@ -106,10 +106,11 @@ def shake256(message: BitString, out_bits: int) -> BitString:
 def rawshake_cost(message_bits: int, digest_bits: int) -> int:
     """Permutation calls of unredefined RawSHAKE256 on an l-bit input.
 
-    ceil((l+4)/r) + floor(d/r): the 4 covers the domain suffix and the
-    minimal multi-rate padding; the first squeeze is free.
+    ceil((l+4)/r) + ceil(d/r) - 1: the 4 covers the domain suffix and the
+    minimal multi-rate padding; the first r output bits come with the last
+    absorb, and each further r bits cost one squeeze call.
     """
     if message_bits < 0 or digest_bits < 1:
         raise ValueError("invalid cost query")
     r = RATE_BITS
-    return (message_bits + 4 + r - 1) // r + digest_bits // r
+    return (message_bits + 4 + r - 1) // r + (digest_bits - 1) // r

@@ -10,6 +10,8 @@ from oracles import from01
 from parashake import keccak, sakura, sponge
 from parashake.bits import BitString
 from parashake.errors import BlockAlignmentError, OutputLengthError
+from parashake.planner import plan_single
+from parashake.scheduler import simulate
 from parashake.sponge import inner_f, rawshake_cost, shake256, xof_output
 
 # Published example digests (empty message and the 1600-bit message of
@@ -125,9 +127,17 @@ def test_rawshake_cost_values():
     assert rawshake_cost(2169, 512) == 2
     assert rawshake_cost(1084, 512) == 1
     assert rawshake_cost(1085, 512) == 2
-    # squeezing beyond the rate costs floor(d/r)
-    assert rawshake_cost(0, 1088) == 2
+    # each rate block of output after the first costs one squeeze call
+    assert rawshake_cost(0, 1088) == 1
     assert rawshake_cost(0, 1087) == 1
+
+
+def test_rawshake_squeeze_matches_simulation():
+    # a one-node plan of the empty message absorbs one block, so the rest
+    # of the cost is the squeeze calls that the scheduler charges
+    tree = plan_single(0).node_tree
+    for d in (1, 512, 1087, 1088, 1089, 2176, 2177, 4096):
+        assert rawshake_cost(0, d) - 1 == simulate(tree, d).squeeze_calls, d
 
 
 def test_cost_matches_redefined_node_sizes():
