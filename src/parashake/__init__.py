@@ -7,10 +7,9 @@ from .bits import BitString
 from .evaluate import (Digest, differential_check, evaluate_parallel,
                        evaluate_sequential)
 from .keccak import BACKEND, keccak_f
-from .planner import (MODELS, Plan, PlanReport, model_table, plan,
-                      plan_compacted, plan_compacted_relaxed, plan_single,
-                      plan_ternary, plan_ternary_with_model, predict,
-                      select_model)
+from .planner import (MODELS, Plan, PlanReport, plan, plan_compacted,
+                      plan_compacted_relaxed, plan_single, plan_ternary,
+                      plan_ternary_with_model, predict, select_model)
 from .sakura import (HopTree, NodeTree, map_hop_tree_to_node_tree,
                      node_bit_cost, validate_grammar, validate_node_tree)
 from .scheduler import Schedule, simulate, validate_happens_before
@@ -22,10 +21,9 @@ __all__ = [
     "BACKEND", "BitString", "Digest", "HopTree", "MODELS", "NodeTree",
     "Plan", "PlanReport", "Schedule", "__version__",
     "differential_check", "evaluate_parallel", "evaluate_sequential",
-    "inner_f", "keccak_f", "map_hop_tree_to_node_tree", "model_table",
-    "node_bit_cost", "plan", "plan_compacted", "plan_compacted_relaxed",
-    "plan_single", "plan_ternary", "plan_ternary_with_model", "predict",
-    "rawshake_cost", "select_model", "shake256", "simulate",
-    "validate_grammar", "validate_happens_before", "validate_node_tree",
-    "xof_output",
+    "inner_f", "keccak_f", "map_hop_tree_to_node_tree", "node_bit_cost",
+    "plan", "plan_compacted", "plan_compacted_relaxed", "plan_single",
+    "plan_ternary", "plan_ternary_with_model", "predict", "rawshake_cost",
+    "select_model", "shake256", "simulate", "validate_grammar",
+    "validate_happens_before", "validate_node_tree", "xof_output",
 ]

@@ -14,8 +14,9 @@ Strategies:
 * compacted-relaxed - compacted, with leaf hops enlarged where their
                       processor would otherwise sit idle.
 
-All planning is pure integer arithmetic on layouts; message bytes are
-never touched.
+`plan` and `predict` read one construction choice per (strategy, n);
+'auto' is ternary-min-procs.  All planning is pure integer arithmetic on
+layouts; message bytes are never touched.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class Plan:
     hop_tree: HopTree
     node_tree: NodeTree
     report: PlanReport
-
-
-def model_table() -> tuple:
-    return MODELS
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -175,75 +172,13 @@ def _compose_ternary(part_roots: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# closed-form predictions: (depth, processor bound), exact integer arithmetic
-
-def _single_prediction(n: int) -> tuple:
-    return max(1, _ceil_div(n + 6, RATE_BITS)), 1
-
-
-def _small_model_id(n: int) -> int:
-    """Smallest final-capable catalogue subtree for 2171..3274 bits."""
-    return 1 if n <= MODELS[1].capacity(True) else 2
-
-
-def _small_prediction(n: int) -> tuple:
-    """Below the composition threshold (n <= 3274): one final message hop,
-    then one final catalogue subtree."""
-    if n <= MODELS[0].capacity(True):
-        return _single_prediction(n)
-    model = MODELS[_small_model_id(n)]
-    return model.time_units, model.processors
-
+# ternary composition
 
 def _composed_prediction(n: int, model: ModelEntry) -> tuple:
     """Ternary composition over ceil(n/N_mb) parts of one catalogue model:
     ceil(log3(parts)) + T_model, parts * N_p."""
     parts = _ceil_div(n, model.message_bits)
     return ceil_log3_ratio(parts) + model.time_units, parts * model.processors
-
-
-def _compacted_prediction(n: int) -> tuple:
-    """ceil(log3((n+31)/3305)) + 2, 3*ceil((n+31)/3305)."""
-    units = _ceil_div(n + 31, COMPACTED_UNIT)
-    return ceil_log3_ratio(units) + 2, 3 * units
-
-
-def _finish(strategy: str, root, n: int, model_id, height: int,
-            prediction: tuple, compaction: str) -> Plan:
-    tree = HopTree(root, n)
-    node_tree = map_hop_tree_to_node_tree(tree, compaction)
-    depth, processors = prediction
-    report = PlanReport(strategy=strategy, model_id=model_id, message_bits=n,
-                        predicted_depth=depth,
-                        predicted_processors=processors,
-                        tree_height=height,
-                        node_count=node_tree.node_count)
-    return Plan(strategy, compaction, tree, node_tree, report)
-
-
-# ---------------------------------------------------------------------------
-# single
-
-def plan_single(n: int) -> Plan:
-    """One final message hop: the sequential baseline.  Its digest equals
-    standard SHAKE256 of the message."""
-    return _finish("single", MessageHop(0, n), n, None, 0,
-                   _single_prediction(n), "aligned")
-
-
-# ---------------------------------------------------------------------------
-# ternary
-
-def _small_final_plan(strategy: str, n: int) -> Plan:
-    """Messages below the composition threshold: a single final hop up to
-    2170 bits, then the smallest final-capable catalogue subtree."""
-    if n <= MODELS[0].capacity(True):
-        root, model_id = MessageHop(0, n), 0
-    else:
-        model_id = _small_model_id(n)
-        root = build_model_subtree(model_id, 0, n, as_final=True)
-    return _finish(strategy, root, n, model_id, 0, _small_prediction(n),
-                   "aligned")
 
 
 def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
@@ -261,21 +196,27 @@ def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
     return min(fitting, key=lambda hop: len(hop.children))
 
 
-def plan_ternary(n: int) -> Plan:
-    """Parts of 3273 bits composed by a ternary tree of kangaroo hops.
-
-    Depth is ceil(log3(n/3273)) + 2 for n >= 3275, with at most
-    3*ceil(n/3273) processors.
-    """
-    if n <= MODELS[2].capacity(True):
-        return _small_final_plan("ternary", n)
-    return _plan_composed("ternary", n, 2)
+def _build_composed(n: int, model: ModelEntry) -> tuple:
+    """Parts of one catalogue model under the ternary composition; the
+    last part is encapsulated within the model's time budget.  Returns
+    (root hop, height)."""
+    parts = _ceil_div(n, model.message_bits)
+    if parts == 1:
+        return build_model_subtree(model.id, 0, n, as_final=True), 0
+    roots = [build_model_subtree(model.id, i * model.message_bits,
+                                 model.message_bits)
+             for i in range(parts - 1)]
+    offset = (parts - 1) * model.message_bits
+    roots.append(_encapsulate_remainder(offset, n - offset, model.time_units))
+    return _compose_ternary(roots)
 
 
 # ---------------------------------------------------------------------------
 # processor-minimizing model selection
 
-SELECT_MODEL_MIN_BITS = 3275
+#: Smallest message the composition plans: one bit past model 2's final
+#: subtree.
+SELECT_MODEL_MIN_BITS = MODELS[2].capacity(True) + 1
 
 
 def select_model(n: int) -> int:
@@ -299,50 +240,8 @@ def select_model(n: int) -> int:
     return best[1]
 
 
-def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
-    """Ternary composition over parts sized by the chosen catalogue
-    subtree (the last part may shrink)."""
-    if n < SELECT_MODEL_MIN_BITS:
-        raise MessageTooShortError(
-            "composition with model selection needs at least %d bits"
-            % SELECT_MODEL_MIN_BITS)
-    if model_id is None:
-        model_id = select_model(n)
-    return _plan_composed("ternary-min-procs", n, model_id)
-
-
-def _plan_composed(strategy: str, n: int, model_id: int) -> Plan:
-    """Parts of one catalogue model under the ternary composition; the
-    last part is encapsulated within the model's time budget."""
-    model = MODELS[model_id]
-    p = _ceil_div(n, model.message_bits)
-    if p == 1:
-        root = build_model_subtree(model_id, 0, n, as_final=True)
-        height = 0
-    else:
-        roots = []
-        for i in range(p - 1):
-            roots.append(build_model_subtree(
-                model_id, i * model.message_bits, model.message_bits))
-        last = n - (p - 1) * model.message_bits
-        roots.append(_encapsulate_remainder(
-            (p - 1) * model.message_bits, last, model.time_units))
-        root, height = _compose_ternary(roots)
-    return _finish(strategy, root, n, model_id, height,
-                   _composed_prediction(n, model), "aligned")
-
-
 # ---------------------------------------------------------------------------
 # compacted construction
-
-def _inner_message_capacity(blocks: int) -> int:
-    # 1088*i - 2*(i-1)*512 - 41: one chaining hop with 2(i-1) values
-    return 64 * blocks + 983
-
-
-def _final_message_capacity(blocks: int) -> int:
-    return 64 * blocks + 984
-
 
 def leaf_idle_allowance(parent_blocks: int) -> int:
     """Whole rate blocks a leaf child may grow by, per the idle-time rule
@@ -372,16 +271,27 @@ def _leaf_capacity(parent_blocks: int, slot: int, parent_final: bool,
     return LEAF_CAPACITY + gain * RATE_BITS
 
 
+def _compacted_children(blocks: int, caps: list, relaxed: bool,
+                        is_final: bool) -> list:
+    """Canonical child order of a compacted subtree whose root node spans
+    `blocks` blocks, as (root blocks of the child, message capacity)
+    pairs: the node's own message hop (1088*i - 2*(i-1)*512 - 41 bits for
+    one chaining hop with 2(i-1) values, one more as final), the two leaf
+    children, then two subtrees per lower level.  The subtree holds the
+    sum of the capacities."""
+    return ([(0, 64 * blocks + (984 if is_final else 983))]
+            + [(1, _leaf_capacity(blocks, slot, is_final, relaxed))
+               for slot in (0, 1)]
+            + [(m, caps[m]) for m in range(2, blocks) for _ in range(2)])
+
+
 def _compacted_caps(max_blocks: int, relaxed: bool) -> list:
     """caps[i] = message capacity of a compacted subtree whose root node
     spans i blocks (inner role)."""
     caps = [0, LEAF_CAPACITY]
     for i in range(2, max_blocks + 1):
-        total = (_inner_message_capacity(i)
-                 + _leaf_capacity(i, 0, False, relaxed)
-                 + _leaf_capacity(i, 1, False, relaxed)
-                 + 2 * sum(caps[2:i]))
-        caps.append(total)
+        caps.append(sum(cap for _, cap in
+                        _compacted_children(i, caps, relaxed, False)))
     return caps
 
 
@@ -391,64 +301,44 @@ def compacted_capacity(j: int, relaxed: bool = False) -> int:
     if j < 1:
         raise ValueError("height parameter must be at least 1")
     caps = _compacted_caps(j, relaxed)
-    return (_final_message_capacity(j + 1)
-            + _leaf_capacity(j + 1, 0, True, relaxed)
-            + _leaf_capacity(j + 1, 1, True, relaxed)
-            + 2 * sum(caps[2:j + 1]))
+    return sum(cap for _, cap in
+               _compacted_children(j + 1, caps, relaxed, True))
 
 
 def _build_compacted_subtree(blocks: int, offset: int, budget: int,
                              caps: list, relaxed: bool, is_final: bool):
-    """Greedy prefix fill of the canonical child order: the node's own
-    message hop, the two leaf children, then two subtrees per lower
-    level.  Returns (hop, bits used)."""
-    msg_cap = (_final_message_capacity(blocks) if is_final
-               else _inner_message_capacity(blocks))
-    take = min(msg_cap, budget)
-    children = [MessageHop(offset, take)]
-    used = take
-    off = offset + take
-    specs = [(1, 0), (1, 1)] + [(m, None) for m in range(2, blocks)
-                                for _ in range(2)]
-    for m, slot in specs:
+    """Greedy prefix fill of the canonical child order of
+    `_compacted_children`.  Returns (hop, bits used)."""
+    children = []
+    used = 0
+    for m, cap in _compacted_children(blocks, caps, relaxed, is_final):
         if used == budget:
             break
-        cap = (_leaf_capacity(blocks, slot, is_final, relaxed)
-               if m == 1 else caps[m])
         grab = min(cap, budget - used)
-        if m == 1:
-            children.append(MessageHop(off, grab))
+        if m < 2:
+            children.append(MessageHop(offset + used, grab))
         else:
-            child, got = _build_compacted_subtree(m, off, grab, caps,
-                                                  relaxed, False)
+            child, got = _build_compacted_subtree(m, offset + used, grab,
+                                                  caps, relaxed, False)
             assert got == grab
             children.append(child)
         used += grab
-        off += grab
     if len(children) == 1:
         return children[0], used
     return ChainingHop(tuple(children), kangaroo_first=True), used
 
 
-def plan_compacted(n: int, relaxed: bool = False) -> Plan:
-    """At most one chaining hop per node, compacted behind the message
-    hop; zero alignment padding and zero stalls by construction."""
-    strategy = "compacted-relaxed" if relaxed else "compacted"
-    if n <= MODELS[0].capacity(True):
-        return _finish(strategy, MessageHop(0, n), n, None, 0,
-                       _single_prediction(n), "compacted")
+def _build_compacted(n: int, relaxed: bool) -> tuple:
+    """The construction of the smallest height parameter j that holds n
+    bits.  Returns (root hop, j)."""
     j = 1
     while compacted_capacity(j, relaxed) < n:
         j += 1
-    caps = _compacted_caps(j, relaxed)
-    root, used = _build_compacted_subtree(j + 1, 0, n, caps, relaxed, True)
+    root, used = _build_compacted_subtree(j + 1, 0, n,
+                                          _compacted_caps(j, relaxed),
+                                          relaxed, True)
     assert used == n
-    return _finish(strategy, root, n, None, j, _compacted_prediction(n),
-                   "compacted")
-
-
-def plan_compacted_relaxed(n: int) -> Plan:
-    return plan_compacted(n, relaxed=True)
+    return root, j
 
 
 # ---------------------------------------------------------------------------
@@ -482,40 +372,104 @@ def max_single_kangaroo(k: int, offset: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# predictions and dispatch
+# the construction choice: plan, predict and the per-strategy entries
 
-def predict(strategy: str, n: int) -> tuple:
-    """Closed-form (depth, processor bound) for a strategy, using exact
-    integer arithmetic; `plan(strategy, n).report` carries the same pair."""
+def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
+    """The construction of `strategy` over n bits, for `plan` and
+    `predict` alike.
+
+    Returns (strategy the report names, model id, compaction, closed-form
+    (depth, processors), builder of (root hop, height)).  Below
+    SELECT_MODEL_MIN_BITS the ternary strategies plan the smallest final
+    catalogue subtree that holds the message (model 0's is one message
+    hop), and the compacted ones plan one message hop while model 0's
+    holds it.  `model_id` fixes the model of a ternary-min-procs
+    composition instead of `select_model`."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    if strategy == "single" or n <= MODELS[0].capacity(True):
-        return _single_prediction(n)
+    lone = ((max(1, _ceil_div(n + 6, RATE_BITS)), 1),
+            lambda: (MessageHop(0, n), 0))
+    small = (next(m for m in MODELS if n <= m.capacity(True))
+             if n < SELECT_MODEL_MIN_BITS else None)
+    if strategy == "single":
+        return (strategy, None, "aligned") + lone
     if strategy in ("compacted", "compacted-relaxed"):
-        return _compacted_prediction(n)
-    if n <= MODELS[2].capacity(True):
-        return _small_prediction(n)
-    model_id = 2 if strategy == "ternary" else select_model(n)
-    return _composed_prediction(n, MODELS[model_id])
+        if small is MODELS[0]:
+            return (strategy, None, "compacted") + lone
+        # ceil(log3((n+31)/3305)) + 2, 3*ceil((n+31)/3305)
+        units = _ceil_div(n + 31, COMPACTED_UNIT)
+        relaxed = strategy == "compacted-relaxed"
+        return (strategy, None, "compacted",
+                (ceil_log3_ratio(units) + 2, 3 * units),
+                lambda: _build_compacted(n, relaxed))
+    if small is MODELS[0]:
+        return ("ternary", 0, "aligned") + lone
+    if small is not None:
+        return ("ternary", small.id, "aligned",
+                (small.time_units, small.processors),
+                lambda: (build_model_subtree(small.id, 0, n, True), 0))
+    if model_id is None:
+        model_id = 2 if strategy == "ternary" else select_model(n)
+    model = MODELS[model_id]
+    return (strategy, model_id, "aligned", _composed_prediction(n, model),
+            lambda: _build_composed(n, model))
+
+
+def _finish(n: int, strategy: str, model_id, compaction: str,
+            prediction: tuple, build) -> Plan:
+    root, height = build()
+    tree = HopTree(root, n)
+    node_tree = map_hop_tree_to_node_tree(tree, compaction)
+    report = PlanReport(strategy, model_id, n, *prediction, height,
+                        node_tree.node_count)
+    return Plan(strategy, compaction, tree, node_tree, report)
 
 
 def plan(strategy: str, n: int) -> Plan:
-    """Plan dispatcher; 'auto' means ternary-min-procs when the message
-    is large enough for model selection, the small-message fallback
-    otherwise."""
+    """Plan one of STRATEGIES, or 'auto' (an alias of ternary-min-procs),
+    over n message bits."""
     if strategy == "auto":
-        strategy = ("ternary-min-procs" if n >= SELECT_MODEL_MIN_BITS
-                    else "ternary")
-    if strategy == "single":
-        return plan_single(n)
-    if strategy == "ternary":
-        return plan_ternary(n)
-    if strategy == "ternary-min-procs":
-        if n < SELECT_MODEL_MIN_BITS:
-            return plan_ternary(n)
-        return plan_ternary_with_model(n)
-    if strategy == "compacted":
-        return plan_compacted(n)
-    if strategy == "compacted-relaxed":
-        return plan_compacted_relaxed(n)
-    raise ValueError("unknown strategy %r" % strategy)
+        strategy = "ternary-min-procs"
+    return _finish(n, *_choose(strategy, n))
+
+
+def predict(strategy: str, n: int) -> tuple:
+    """Closed-form (depth, processor bound) for one of STRATEGIES, using
+    exact integer arithmetic; `plan(strategy, n).report` carries the same
+    pair."""
+    return _choose(strategy, n)[3]
+
+
+def plan_single(n: int) -> Plan:
+    """One final message hop: the sequential baseline.  Its digest equals
+    standard SHAKE256 of the message."""
+    return plan("single", n)
+
+
+def plan_ternary(n: int) -> Plan:
+    """Parts of 3273 bits composed by a ternary tree of kangaroo hops.
+
+    Depth is ceil(log3(n/3273)) + 2 for n >= 3275, with at most
+    3*ceil(n/3273) processors.
+    """
+    return plan("ternary", n)
+
+
+def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
+    """Ternary composition over parts sized by the chosen catalogue
+    subtree (the last part may shrink)."""
+    if n < SELECT_MODEL_MIN_BITS:
+        raise MessageTooShortError(
+            "composition with model selection needs at least %d bits"
+            % SELECT_MODEL_MIN_BITS)
+    return _finish(n, *_choose("ternary-min-procs", n, model_id))
+
+
+def plan_compacted(n: int, relaxed: bool = False) -> Plan:
+    """At most one chaining hop per node, compacted behind the message
+    hop; zero alignment padding and zero stalls by construction."""
+    return plan("compacted-relaxed" if relaxed else "compacted", n)
+
+
+def plan_compacted_relaxed(n: int) -> Plan:
+    return plan("compacted-relaxed", n)

@@ -9,11 +9,10 @@ from parashake import planner, scheduler
 from parashake.errors import MessageTooShortError, NodeCapacityError
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
-                               leaf_idle_slack, max_single_kangaroo,
-                               model_table, plan, plan_compacted,
-                               plan_compacted_relaxed, plan_single,
-                               plan_ternary, plan_ternary_with_model, predict,
-                               select_model)
+                               leaf_idle_slack, max_single_kangaroo, plan,
+                               plan_compacted, plan_compacted_relaxed,
+                               plan_single, plan_ternary,
+                               plan_ternary_with_model, predict, select_model)
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
                               map_hop_tree_to_node_tree, validate_node_tree)
 
@@ -44,7 +43,7 @@ def test_ceil_log3_ratio():
 
 
 def test_model_table_rows():
-    table = model_table()
+    table = MODELS
     assert [m.id for m in table] == list(range(11))
     m2 = table[2]
     assert (m2.message_bits, m2.processors, m2.time_units) == (3273, 3, 2)
