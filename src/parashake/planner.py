@@ -274,11 +274,11 @@ def _leaf_capacity(parent_blocks: int, slot: int, parent_final: bool,
 def _compacted_children(blocks: int, caps: list, relaxed: bool,
                         is_final: bool) -> list:
     """Canonical child order of a compacted subtree whose root node spans
-    `blocks` blocks, as (root blocks of the child, message capacity)
-    pairs: the node's own message hop (1088*i - 2*(i-1)*512 - 41 bits for
-    one chaining hop with 2(i-1) values, one more as final), the two leaf
-    children, then two subtrees per lower level.  The subtree holds the
-    sum of the capacities."""
+    `blocks` blocks, as (kind, message capacity) pairs: the node's own
+    message hop (kind 0; 1088*i - 2*(i-1)*512 - 41 bits for one chaining
+    hop with 2(i-1) values, one more as final), the two leaf children
+    (kind 1), then two subtrees per lower level (kind = their root's
+    blocks).  The subtree holds the sum of the capacities."""
     return ([(0, 64 * blocks + (984 if is_final else 983))]
             + [(1, _leaf_capacity(blocks, slot, is_final, relaxed))
                for slot in (0, 1)]
@@ -417,6 +417,7 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
 
 def _finish(n: int, strategy: str, model_id, compaction: str,
             prediction: tuple, build) -> Plan:
+    """Build the chosen hop tree, map it to nodes and report on it."""
     root, height = build()
     tree = HopTree(root, n)
     node_tree = map_hop_tree_to_node_tree(tree, compaction)

@@ -23,7 +23,7 @@ def digest(strategy: str, sizes) -> str:
     h = hashlib.sha256()
     for n in sizes:
         h.update(treeio.dump_plan(planner.plan(strategy, n)).encode())
-        if strategy != "auto":       # predict names the planned strategy
+        if strategy != "auto":       # predict takes the five names only
             h.update(repr(planner.predict(strategy, n)).encode())
     return h.hexdigest()
 
