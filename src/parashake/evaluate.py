@@ -95,6 +95,14 @@ def materialize_node(node: NodeLayout, data: bytes, message_bits: int,
     return BitString(acc, pos)
 
 
+def _check_message(tree: NodeTree, message: BitString) -> None:
+    """Raise `SliceRangeError` unless `message` is as long as the message
+    the tree was planned for."""
+    if len(message) != tree.message_bits:
+        raise SliceRangeError("message is %d bits, the tree covers %d"
+                              % (len(message), tree.message_bits))
+
+
 def _check_order(tree: NodeTree, order) -> list:
     deps = tree.deps
     if order is None:
@@ -116,9 +124,11 @@ def _check_order(tree: NodeTree, order) -> list:
 def evaluate_sequential(tree: NodeTree, message: BitString,
                         out_bits: int = 512, order=None) -> Digest:
     """Evaluate every node in (any) topological order; the final node is
-    squeezed to `out_bits`, which is checked before any node is
-    evaluated.  Ground truth for all digests."""
+    squeezed to `out_bits`.  `out_bits` and the message length are
+    checked before any node is evaluated.  Ground truth for all
+    digests."""
     check_out_bits(out_bits)
+    _check_message(tree, message)
     if not tree.nodes[-1].is_final:
         raise ValueError("tree has no final node")
     data = message.to_bytes()
@@ -182,8 +192,9 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
     raises `ValueError`.  A block
     holding a chaining value ends at least one unit after its producer
     finishes, so every value is ready when its block runs.  An `out_bits`
-    below 1 is rejected before any node is absorbed.  `max_workers` is
-    unused; it is still accepted because callers pass it.
+    below 1, and a message whose length is not the tree's, are rejected
+    before any node is absorbed.  `max_workers` is unused; it is still
+    accepted because callers pass it.
     """
     check_out_bits(out_bits)
     nodes = tree.nodes
@@ -199,6 +210,7 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
         raise ValueError("schedule does not match the tree's nodes")
     if not nodes[-1].is_final:
         raise ValueError("tree has no final node")
+    _check_message(tree, message)
     rate = RATE_BITS // 8
     units = [[] for _ in range(max(t.finish for t in timings) + 1)]
     for t in timings:
@@ -241,10 +253,3 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
                 cvs[nid] = bytes(own[:CV_BITS // 8])
     return Digest(digest, calls)
 
-
-def differential_check(tree: NodeTree, message: BitString,
-                       out_bits: int = 512) -> bool:
-    """True iff the parallel executor reproduces the sequential digest."""
-    a = evaluate_sequential(tree, message, out_bits)
-    b = evaluate_parallel(tree, message, out_bits)
-    return a.bits == b.bits and a.total_calls == b.total_calls

@@ -86,7 +86,6 @@ class PlanReport:
 @dataclass(frozen=True)
 class Plan:
     strategy: str
-    compaction: str
     hop_tree: HopTree
     node_tree: NodeTree
     report: PlanReport
@@ -378,8 +377,8 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
     """The construction of `strategy` over n bits, for `plan` and
     `predict` alike.
 
-    Returns (strategy the report names, model id, compaction, closed-form
-    (depth, processors), builder of (root hop, height)).  Below
+    Returns (strategy the report names, model id, closed-form (depth,
+    processors), builder of (root hop, height)).  Below
     SELECT_MODEL_MIN_BITS the ternary strategies plan the smallest final
     catalogue subtree that holds the message (model 0's is one message
     hop), and the compacted ones plan one message hop while model 0's
@@ -392,38 +391,36 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
     small = (next(m for m in MODELS if n <= m.capacity(True))
              if n < SELECT_MODEL_MIN_BITS else None)
     if strategy == "single":
-        return (strategy, None, "aligned") + lone
+        return (strategy, None) + lone
     if strategy in ("compacted", "compacted-relaxed"):
         if small is MODELS[0]:
-            return (strategy, None, "compacted") + lone
+            return (strategy, None) + lone
         # ceil(log3((n+31)/3305)) + 2, 3*ceil((n+31)/3305)
         units = _ceil_div(n + 31, COMPACTED_UNIT)
         relaxed = strategy == "compacted-relaxed"
-        return (strategy, None, "compacted",
-                (ceil_log3_ratio(units) + 2, 3 * units),
+        return (strategy, None, (ceil_log3_ratio(units) + 2, 3 * units),
                 lambda: _build_compacted(n, relaxed))
     if small is MODELS[0]:
-        return ("ternary", 0, "aligned") + lone
+        return ("ternary", 0) + lone
     if small is not None:
-        return ("ternary", small.id, "aligned",
-                (small.time_units, small.processors),
+        return ("ternary", small.id, (small.time_units, small.processors),
                 lambda: (build_model_subtree(small.id, 0, n, True), 0))
     if model_id is None:
         model_id = 2 if strategy == "ternary" else select_model(n)
     model = MODELS[model_id]
-    return (strategy, model_id, "aligned", _composed_prediction(n, model),
+    return (strategy, model_id, _composed_prediction(n, model),
             lambda: _build_composed(n, model))
 
 
-def _finish(n: int, strategy: str, model_id, compaction: str,
-            prediction: tuple, build) -> Plan:
+def _finish(n: int, strategy: str, model_id, prediction: tuple,
+            build) -> Plan:
     """Build the chosen hop tree, map it to nodes and report on it."""
     root, height = build()
     tree = HopTree(root, n)
-    node_tree = map_hop_tree_to_node_tree(tree, compaction)
+    node_tree = map_hop_tree_to_node_tree(tree)
     report = PlanReport(strategy, model_id, n, *prediction, height,
                         node_tree.node_count)
-    return Plan(strategy, compaction, tree, node_tree, report)
+    return Plan(strategy, tree, node_tree, report)
 
 
 def plan(strategy: str, n: int) -> Plan:
@@ -438,22 +435,7 @@ def predict(strategy: str, n: int) -> tuple:
     """Closed-form (depth, processor bound) for one of STRATEGIES, using
     exact integer arithmetic; `plan(strategy, n).report` carries the same
     pair."""
-    return _choose(strategy, n)[3]
-
-
-def plan_single(n: int) -> Plan:
-    """One final message hop: the sequential baseline.  Its digest equals
-    standard SHAKE256 of the message."""
-    return plan("single", n)
-
-
-def plan_ternary(n: int) -> Plan:
-    """Parts of 3273 bits composed by a ternary tree of kangaroo hops.
-
-    Depth is ceil(log3(n/3273)) + 2 for n >= 3275, with at most
-    3*ceil(n/3273) processors.
-    """
-    return plan("ternary", n)
+    return _choose(strategy, n)[2]
 
 
 def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
@@ -464,13 +446,3 @@ def plan_ternary_with_model(n: int, model_id: int | None = None) -> Plan:
             "composition with model selection needs at least %d bits"
             % SELECT_MODEL_MIN_BITS)
     return _finish(n, *_choose("ternary-min-procs", n, model_id))
-
-
-def plan_compacted(n: int, relaxed: bool = False) -> Plan:
-    """At most one chaining hop per node, compacted behind the message
-    hop; zero alignment padding and zero stalls by construction."""
-    return plan("compacted-relaxed" if relaxed else "compacted", n)
-
-
-def plan_compacted_relaxed(n: int) -> Plan:
-    return plan("compacted-relaxed", n)

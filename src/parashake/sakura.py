@@ -108,14 +108,6 @@ def iter_hops(tree: HopTree):
                 stack.append((index + (i,), hop.children[i]))
 
 
-def validate_hop_tree(tree: HopTree) -> None:
-    """Check slice bounds and chaining-value limits."""
-    for _, hop in iter_hops(tree):
-        if isinstance(hop, MessageHop):
-            if hop.offset + hop.length > tree.message_bits:
-                raise SliceRangeError("message slice beyond message end")
-
-
 # ---------------------------------------------------------------------------
 # Node layout segments
 
@@ -267,17 +259,14 @@ def _tail_bits(is_final: bool, content_bits: int) -> FrameBits:
 
 
 def encode_node(first, chain=(), is_final: bool = False,
-                align_to_rate: bool = True,
                 producer_ids=None) -> NodeLayout:
     """Lay out one node from a kangaroo chain.
 
     `first` is the node's first hop (message or chaining hop); `chain`
     holds the subsequent chaining hops, outermost last.  `producer_ids`
     supplies node ids for every chaining-value slot in order (defaults
-    to placeholders).  With `align_to_rate` each hop flagged `aligned`
-    is packed flush against the end of a fresh rate block; without it
-    all chaining hops merge into a single hop compacted behind the first
-    hop, with any slack absorbed by the closing pad.
+    to placeholders).  Each hop flagged `aligned` is packed flush against
+    the end of a fresh rate block.
     """
     chain = list(chain)
     for hop in chain:
@@ -313,24 +302,13 @@ def encode_node(first, chain=(), is_final: bool = False,
     else:
         raise GrammarError("unknown hop %r" % (first,))
 
-    if align_to_rate:
-        for idx, hop in enumerate(chain):
-            hop_len = hop.n_cv * CV_BITS + 33
-            last = idx == len(chain) - 1
-            tail_len = (1 if is_final else 2) + 4 if last else 0
-            zeros = -(pos + 1 + hop_len + tail_len) % RATE_BITS
-            put(FrameBits(1, 1 + zeros if hop.aligned else 1))
-            for seg in encode_chaining_hop(slots(hop)):
-                put(seg)
-    elif chain:
-        merged = []
-        for hop in chain:
-            merged.extend(slots(hop))
-        if len(merged) > MAX_CVS:
-            raise TooManyChainingValues(
-                "compacted hop would hold %d values" % len(merged))
-        put(FrameBits(1, 1))
-        for seg in encode_chaining_hop(merged):
+    for idx, hop in enumerate(chain):
+        hop_len = hop.n_cv * CV_BITS + 33
+        last = idx == len(chain) - 1
+        tail_len = (1 if is_final else 2) + 4 if last else 0
+        zeros = -(pos + 1 + hop_len + tail_len) % RATE_BITS
+        put(FrameBits(1, 1 + zeros if hop.aligned else 1))
+        for seg in encode_chaining_hop(slots(hop)):
             put(seg)
 
     put(_tail_bits(is_final, pos))
@@ -340,19 +318,14 @@ def encode_node(first, chain=(), is_final: bool = False,
 # ---------------------------------------------------------------------------
 # Hop tree -> node tree
 
-def map_hop_tree_to_node_tree(tree: HopTree, compaction: str = "aligned",
+def map_hop_tree_to_node_tree(tree: HopTree,
                               root_final: bool = True) -> NodeTree:
-    """Deterministically expand a hop tree into its tree of nodes.
-
-    compaction 'aligned' keeps one chaining hop per composition layer,
-    rate-aligned; 'compacted' merges each node's chaining hops into a
-    single hop placed directly behind the first hop.  The mapping visits
-    producers before consumers, so node ids are topologically ordered and
-    the root node comes last.
+    """Deterministically expand a hop tree into its tree of nodes: one
+    node per kangaroo chain, one chaining hop per hop of the chain.  The
+    mapping visits producers before consumers, so node ids are
+    topologically ordered and the root node comes last.  A message hop
+    reaching past `tree.message_bits` raises `SliceRangeError`.
     """
-    if compaction not in ("aligned", "compacted"):
-        raise ValueError("compaction must be 'aligned' or 'compacted'")
-    validate_hop_tree(tree)
     nodes = []
 
     def build(anchor, is_final: bool) -> int:
@@ -362,18 +335,23 @@ def map_hop_tree_to_node_tree(tree: HopTree, compaction: str = "aligned",
             cur = cur.children[0]
             chain_rev.append(cur)
         hops = chain_rev[::-1]          # first hop ... anchor
+        if (isinstance(cur, MessageHop)
+                and cur.offset + cur.length > tree.message_bits):
+            raise SliceRangeError("message slice beyond message end")
         producer_ids = []
         for hop in hops:
             if isinstance(hop, ChainingHop):
                 for child in hop.cv_children:
                     producer_ids.append(build(child, False))
         layout = encode_node(hops[0], hops[1:], is_final,
-                             align_to_rate=(compaction == "aligned"),
                              producer_ids=producer_ids)
         nodes.append(layout)
         return len(nodes) - 1
 
     build(tree.root, root_final)
+    # `build` holds itself in its closure: break that cycle, or it keeps
+    # the hop tree and the node list alive until the garbage collector runs
+    del build
     return NodeTree(tuple(nodes), tree.message_bits)
 
 

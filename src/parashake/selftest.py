@@ -85,7 +85,7 @@ def suite_model_table():
         for as_final in (False, True):
             bits = model.capacity(as_final)
             root = planner.build_model_subtree(model.id, 0, bits, as_final)
-            tree = map_hop_tree_to_node_tree(HopTree(root, bits), "aligned",
+            tree = map_hop_tree_to_node_tree(HopTree(root, bits),
                                              root_final=as_final)
             sched = scheduler.simulate(tree)
             depth = max(t.finish for t in sched.timings)
@@ -106,7 +106,7 @@ def _sweep_points(count: int, lo: int = 3275, hi: int = 10 ** 6) -> list:
 @_suite
 def suite_ternary_sweep(points: int = 40):
     for n in _sweep_points(points):
-        plan = planner.plan_ternary(n)
+        plan = planner.plan("ternary", n)
         sched = scheduler.simulate(plan.node_tree)
         want = planner.ceil_log3_ratio(n, planner.TERNARY_PART_BITS) + 2
         if sched.depth != want:
@@ -125,7 +125,7 @@ def suite_compacted_sweep(points: int = 40):
         if 4 * direct != 3 ** (j - 1) * (2 * j - 5) + 3:
             return False, "summation identity fails at j=%d" % j
     for n in _sweep_points(points):
-        plan = planner.plan_compacted(n)
+        plan = planner.plan("compacted", n)
         sched = scheduler.simulate(plan.node_tree)
         bound = planner.ceil_log3_ratio(n + 31, planner.COMPACTED_UNIT) + 2
         if sched.depth > bound:
@@ -135,7 +135,7 @@ def suite_compacted_sweep(points: int = 40):
             return False, "n=%d stalls" % n
         if not scheduler.validate_happens_before(sched, plan.node_tree):
             return False, "n=%d violates happens-before" % n
-        relaxed = planner.plan_compacted_relaxed(n)
+        relaxed = planner.plan("compacted-relaxed", n)
         if relaxed.node_tree != plan.node_tree:
             return False, "n=%d relaxed plan differs" % n
     return True, "%d points, identity for j in 2..12" % points
@@ -144,11 +144,9 @@ def suite_compacted_sweep(points: int = 40):
 @_suite
 def suite_differential(cases: int = 50):
     rng = random.Random(_SEED)
-    strategies = ("single", "ternary", "ternary-min-procs", "compacted",
-                  "compacted-relaxed")
     for case in range(cases):
         n = int(10 ** rng.uniform(0, 5.3))
-        strategy = strategies[case % len(strategies)]
+        strategy = planner.STRATEGIES[case % len(planner.STRATEGIES)]
         out_bits = rng.choice((256, 512, 2176))
         message = BitString(rng.getrandbits(n) if n else 0, n)
         plan = planner.plan(strategy, n)

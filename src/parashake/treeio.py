@@ -1,16 +1,17 @@
 """JSON wire formats: plan documents, schedule documents, test vectors.
 
-A sakura-plan/2 document holds the compaction, the message length, the
-planner's report and the hop tree (hops keyed by their tree index: the
-final hop has the empty index, child i of a hop indexed alpha has index
-alpha + [i-1]).  The node tree is not stored: loading rebuilds it with
+A sakura-plan/3 document holds the message length, the planner's report
+and the hop tree (hops keyed by their tree index: the final hop has the
+empty index, child i of a hop indexed alpha has index alpha + [i-1]).
+The node tree is not stored: loading rebuilds it with
 `map_hop_tree_to_node_tree`, so it cannot disagree with the hop tree,
 and rejects a report whose node count or message length differs from
 the rebuilt tree.  It is the only plan schema: a document of any other
-schema, the /1 documents that also listed the nodes included, is
-rejected.  Every field read must have the type the dump writes (`true`
-is not an integer and `9.0` is not `9`).  Dumping is canonical, so a
-document that loads dumps back to its own canonical JSON.
+schema is rejected, the /1 documents that also listed the nodes and the
+/2 documents that could pick a second hop-to-node mapping included.
+Every field read must have the type the dump writes (`true` is not an
+integer and `9.0` is not `9`).  Dumping is canonical, so a document
+that loads dumps back to its own canonical JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .sakura import (ChainingHop, HopTree, MessageHop, iter_hops,
                      map_hop_tree_to_node_tree)
 from .scheduler import Schedule
 
-PLAN_SCHEMA = "sakura-plan/2"
+PLAN_SCHEMA = "sakura-plan/3"
 SCHEDULE_SCHEMA = "sakura-schedule/1"
 
 
@@ -101,7 +102,6 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
 def dump_plan(plan: Plan) -> str:
     doc = {
         "schema": PLAN_SCHEMA,
-        "compaction": plan.compaction,
         "message_bits": plan.hop_tree.message_bits,
         "report": dataclasses.asdict(plan.report),
         "hops": _hops_to_json(plan.hop_tree),
@@ -118,9 +118,8 @@ def load_plan(text: str | bytes) -> Plan:
         if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
             raise GrammarError("not a %s document" % PLAN_SCHEMA)
         message_bits = _field(doc, "message_bits", int)
-        compaction = doc["compaction"]
         hop_tree = _hops_from_json(doc["hops"], message_bits)
-        node_tree = map_hop_tree_to_node_tree(hop_tree, compaction)
+        node_tree = map_hop_tree_to_node_tree(hop_tree)
         row = doc["report"]
         for key, hint in typing.get_type_hints(PlanReport).items():
             _field(row, key, *(typing.get_args(hint) or (hint,)))
@@ -128,7 +127,7 @@ def load_plan(text: str | bytes) -> Plan:
         if (report.node_count != node_tree.node_count
                 or report.message_bits != message_bits):
             raise GrammarError("report disagrees with the hop tree")
-        return Plan(report.strategy, compaction, hop_tree, node_tree, report)
+        return Plan(report.strategy, hop_tree, node_tree, report)
     except TreeHashError:
         raise
     except RecursionError:

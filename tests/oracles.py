@@ -12,7 +12,8 @@ import random
 import networkx as nx
 
 from parashake.bits import BitString
-from parashake.sakura import RATE_BITS, FrameBits, NodeTree
+from parashake.sakura import (RATE_BITS, ChainingHop, FrameBits, HopTree,
+                              NodeTree)
 from parashake.scheduler import NodeTiming, Schedule
 # the model-choice brute force, with its own table, is the selftest's
 from parashake.selftest import brute_force_model_choice  # noqa: F401
@@ -122,6 +123,32 @@ def is_pad(seg) -> bool:
     """Whether `seg` is an alignment pad '1 0^z' with z >= 1.  With z = 0
     it is the '1' that also opens every chaining hop not aligned."""
     return isinstance(seg, FrameBits) and seg.value == 1 and seg.length > 1
+
+
+# ---------------------------------------------------------------------------
+# Hop-tree rewrites.
+
+
+def merge_chains(tree: HopTree) -> HopTree:
+    """`tree` with each node's kangaroo chain rewritten as one chaining
+    hop, not aligned, that holds the chain's chaining values innermost
+    hop first.  Its nodes are those that `sakura-plan/2` documents
+    marked "compacted" were mapped to: the first hop, then a single
+    merged chaining hop behind it."""
+    def node(hop):
+        chain = []
+        while isinstance(hop, ChainingHop) and hop.kangaroo_first:
+            chain.append(hop)
+            hop = hop.children[0]
+        if isinstance(hop, ChainingHop):
+            hop = ChainingHop(tuple(node(c) for c in hop.children),
+                              kangaroo_first=False, aligned=hop.aligned)
+        if not chain:
+            return hop
+        return ChainingHop((hop,) + tuple(node(c) for link in reversed(chain)
+                                          for c in link.cv_children))
+
+    return HopTree(node(tree.root), tree.message_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
-                               plan_compacted, plan_compacted_relaxed,
-                               plan_ternary, select_model)
+                               select_model)
 from parashake.sakura import (ChainingHop, FrameBits, HopTree,
                               MessageHop, NodeLayout,
                               map_hop_tree_to_node_tree, node_bit_cost,
@@ -108,7 +107,7 @@ def test_criterion_3_model_table_fidelity():
         for as_final, bits in ((False, model.message_bits),
                                (True, model.message_bits + 1)):
             root = build_model_subtree(model.id, 0, bits, as_final)
-            tree = map_hop_tree_to_node_tree(HopTree(root, bits), "aligned",
+            tree = map_hop_tree_to_node_tree(HopTree(root, bits),
                                              root_final=as_final)
             sched = simulate(tree)
             depth = max(t.finish for t in sched.timings)
@@ -136,7 +135,7 @@ def test_criterion_4_ternary_sweep():
     ns = _log_spaced(200, 3275, 10 ** 7)
     ns.append(29457)
     for n in ns:
-        plan = plan_ternary(n)
+        plan = planner.plan("ternary", n)
         sched = simulate(plan.node_tree)
         assert sched.depth == ceil_log3_ratio(n, 3273) + 2, n
         assert plan.report.node_count <= 3 * -(-n // 3273), n
@@ -154,7 +153,7 @@ def test_criterion_5_compacted_sweep():
         assert 4 * direct == 3 ** (j - 1) * (2 * j - 5) + 3, j
     ns = _log_spaced(200, 3275, 10 ** 7)
     for n in ns:
-        plan = plan_compacted(n)
+        plan = planner.plan("compacted", n)
         sched = simulate(plan.node_tree)
         assert sched.depth <= ceil_log3_ratio(n + 31, 3305) + 2, n
         assert plan.report.node_count <= 3 * -(-(n + 31) // 3305), n
@@ -167,8 +166,8 @@ def test_criterion_5_compacted_sweep():
 def test_criterion_6_relaxation_consistency():
     ns = _log_spaced(60, 3275, 10 ** 7)
     for n in ns:
-        a = plan_compacted(n)
-        b = plan_compacted_relaxed(n)
+        a = planner.plan("compacted", n)
+        b = planner.plan("compacted-relaxed", n)
         da = simulate(a.node_tree).depth
         db = simulate(b.node_tree).depth
         assert da == db, n
@@ -209,7 +208,7 @@ def _grown_leaf_fragment(parent_blocks: int, extra: int, as_final: bool):
             children.append(MessageHop(off, bits))
             off += bits
     root = ChainingHop(tuple(children), kangaroo_first=True)
-    tree = map_hop_tree_to_node_tree(HopTree(root, off), "compacted",
+    tree = map_hop_tree_to_node_tree(HopTree(root, off),
                                      root_final=as_final)
     return simulate(tree), grown
 

@@ -269,7 +269,7 @@ def _report_field(key, value):
 @pytest.mark.parametrize("make_text", [
     lambda: "not json",
     lambda: "[]",
-    lambda: '{"schema": "sakura-plan/2", "message_bits": 5}',
+    lambda: '{"schema": "sakura-plan/3", "message_bits": 5}',
     lambda: _plan_doc(lambda doc: doc.update(hops="x")),
     lambda: _plan_doc(_string_node_count),
     lambda: _plan_doc(_message_field("length_bits", str)),
@@ -299,6 +299,17 @@ def test_malformed_plan_is_reported(capsys, tmp_path, make_text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_schema_2_plan_is_reported(capsys, tmp_path):
+    # a /2 document named one of two hop-to-node mappings; read as /3, a
+    # "compacted" one would map its kangaroo chains to other nodes
+    path = tmp_path / "plan.json"
+    path.write_text(_plan_doc(lambda doc: doc.update(
+        schema="sakura-plan/2", compaction="compacted")))
+    code, out, err = run_cli(capsys, "analyze", "--plan", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: not a sakura-plan/3 document\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -376,8 +387,7 @@ def test_deep_plan_is_reported(capsys, tmp_path):
               "predicted_processors": 1, "tree_height": depth,
               "node_count": depth + 1}
     path = tmp_path / "deep.json"
-    path.write_text(json.dumps({"schema": "sakura-plan/2",
-                                "compaction": "aligned",
+    path.write_text(json.dumps({"schema": "sakura-plan/3",
                                 "message_bits": depth + 1,
                                 "report": report, "hops": hops}))
     code, out, err = run_cli(capsys, "analyze", "--plan", str(path))

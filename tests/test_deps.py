@@ -12,7 +12,7 @@ from parashake.scheduler import simulate, validate_happens_before
 
 
 def test_index_lists_blocks_and_producers():
-    tree = planner.plan_ternary(29457).node_tree
+    tree = planner.plan("ternary", 29457).node_tree
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
         assert node_deps == tuple((pos // 1088, producer, pos)
                                   for pos, producer in node.cv_positions())
@@ -38,7 +38,7 @@ def _redirect_first_slot(tree: NodeTree, reference: str) -> tuple:
 
 @pytest.mark.parametrize("reference", ["self", "forward", "not-an-id"])
 def test_bad_reference_is_one_error_everywhere(reference, rng):
-    plan = planner.plan_ternary(9819)
+    plan = planner.plan("ternary", 9819)
     tree, nid, producer = _redirect_first_slot(plan.node_tree, reference)
     want = ("node %d consumes value of node %r, which is not an earlier node"
             % (nid, producer))
@@ -63,7 +63,7 @@ def test_one_dependency_walk_per_node(monkeypatch, rng):
         return original(self)
 
     monkeypatch.setattr(NodeLayout, "cv_positions", counted)
-    tree = planner.plan_ternary(9819).node_tree
+    tree = planner.plan("ternary", 9819).node_tree
     message = BitString(rng.getrandbits(9819), 9819)
     assert validate_node_tree(tree) == (True, "ok")
     sched = simulate(tree)

@@ -11,8 +11,8 @@ from parashake import evaluate, keccak, planner, scheduler, selftest
 from parashake.bits import BitString
 from parashake.errors import (DependencyCycleError, OutputLengthError,
                               SliceRangeError)
-from parashake.evaluate import (differential_check, evaluate_parallel,
-                                evaluate_sequential, materialize_node)
+from parashake.evaluate import (evaluate_parallel, evaluate_sequential,
+                                materialize_node)
 from parashake.sponge import shake256
 
 
@@ -30,7 +30,7 @@ def test_single_strategy_equals_shake256(rng):
 
 def test_deterministic(rng):
     message = random_message(rng, 29457)
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     a = evaluate_sequential(p.node_tree, message)
     b = evaluate_sequential(p.node_tree, message)
     assert a.bits == b.bits and a.total_calls == b.total_calls
@@ -50,7 +50,7 @@ def test_total_work_matches_schedule(rng):
 def test_order_independence(rng):
     n = 29457
     message = random_message(rng, n)
-    p = planner.plan_ternary(n)
+    p = planner.plan("ternary", n)
     want = evaluate_sequential(p.node_tree, message)
     for _ in range(5):
         order = random_topological_order(p.node_tree, rng)
@@ -59,7 +59,7 @@ def test_order_independence(rng):
 
 
 def test_bad_order_rejected(rng):
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     message = random_message(rng, 29457)
     order = list(range(p.node_tree.node_count))
     order[0], order[-1] = order[-1], order[0]
@@ -75,7 +75,10 @@ def test_parallel_matches_sequential(rng):
         n = rng.randrange(1, 200000)
         message = random_message(rng, n)
         p = planner.plan(strategy, n)
-        assert differential_check(p.node_tree, message), (strategy, n)
+        seq = evaluate_sequential(p.node_tree, message)
+        par = evaluate_parallel(p.node_tree, message)
+        assert (par.bits, par.total_calls) == (seq.bits, seq.total_calls), \
+            (strategy, n)
 
 
 def _trace_launches(monkeypatch):
@@ -185,7 +188,7 @@ def test_tree_digests_match_the_goldens():
 def test_avalanche_on_message_flip(rng):
     n = 29457
     message = random_message(rng, n)
-    p = planner.plan_ternary(n)
+    p = planner.plan("ternary", n)
     base = evaluate_sequential(p.node_tree, message)
     for _ in range(5):
         flip = rng.randrange(n)
@@ -207,7 +210,7 @@ def test_strategy_changes_digest(rng):
 def test_xof_prefix_across_outputs(rng):
     n = 12345
     message = random_message(rng, n)
-    p = planner.plan_compacted(n)
+    p = planner.plan("compacted", n)
     long = evaluate_sequential(p.node_tree, message, 4096)
     for out_bits in (256, 512):
         short = evaluate_sequential(p.node_tree, message, out_bits)
@@ -215,7 +218,7 @@ def test_xof_prefix_across_outputs(rng):
 
 
 def _no_permutations(*args, **kwargs):
-    raise AssertionError("permutation run before out_bits was checked")
+    raise AssertionError("permutation run before the arguments were checked")
 
 
 @pytest.mark.parametrize("out_bits", [0, -1])
@@ -229,8 +232,22 @@ def test_bad_out_bits_fail_before_hashing(monkeypatch, rng, executor,
         executor(p.node_tree, random_message(rng, 29457), out_bits)
 
 
+@pytest.mark.parametrize("extra", [-1, 8])
+@pytest.mark.parametrize("executor", [evaluate_sequential, evaluate_parallel])
+def test_wrong_message_length_fails_before_hashing(monkeypatch, rng,
+                                                   executor, extra):
+    # a longer message is not cut to the tree's length, nor a shorter one
+    # hashed as far as it goes
+    monkeypatch.setattr(keccak, "absorb_blocks", _no_permutations)
+    monkeypatch.setattr(keccak, "permute", _no_permutations)
+    p = planner.plan("ternary", 5000)
+    with pytest.raises(SliceRangeError, match="message is %d bits"
+                       % (5000 + extra)):
+        executor(p.node_tree, random_message(rng, 5000 + extra))
+
+
 def test_slice_out_of_range(rng):
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     message = random_message(rng, 1000)  # too short for the plan
     with pytest.raises(SliceRangeError):
         evaluate_sequential(p.node_tree, message)

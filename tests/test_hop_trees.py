@@ -3,8 +3,10 @@ without a happens-before violation, hashes to one digest and one call
 count under both executors, and survives a plan-document round trip.
 
 `data/hop_tree_digests.json` pins 32 seeded trees with their 512-bit
-digests.  `PYTHONPATH=src python tests/test_hop_trees.py` rewrites it;
-do that only when the function being computed is meant to change.
+digests, as `sakura-plan/2` documents: a tree marked "compacted" stands
+for its `merge_chains` rewrite.  `PYTHONPATH=src python
+tests/test_hop_trees.py` rewrites it; do that only when the function
+being computed is meant to change.
 """
 
 import json
@@ -14,7 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_pad
+from oracles import is_pad, merge_chains
 from parashake import treeio
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
@@ -61,12 +63,14 @@ def _first_pad_zeros(shape) -> int:
                 0)
 
 
-def draw_case(randint) -> tuple:
-    """A hop tree of depth 1 to 3, its compaction and an output length,
-    from `randint(lo, hi)` draws.  Chaining hops have 2 to 5 children and
-    random kangaroo and `aligned` flags; message hops hold 0, 1, 7, 8 or
-    up to 5000 bits.  Half the trees lengthen the root node's first hop
-    so that its first alignment pad has no zeros."""
+def draw_seeded(randint) -> tuple:
+    """A hop tree of depth 1 to 3, a "compaction" flag and an output
+    length, from `randint(lo, hi)` draws.  Chaining hops have 2 to 5
+    children and random kangaroo and `aligned` flags; message hops hold
+    0, 1, 7, 8 or up to 5000 bits.  Half the trees lengthen the root
+    node's first hop so that its first alignment pad has no zeros.  The
+    flag, "aligned" or "compacted", is what the pinned documents record
+    for the tree."""
     def length():
         return (0, 1, 7, 8)[randint(0, 3)] if randint(0, 1) else \
             randint(0, 5000)
@@ -84,10 +88,21 @@ def draw_case(randint) -> tuple:
         randint(1, 2177)
 
 
-def check_tree(tree: HopTree, compaction: str, out_bits: int) -> str:
+def _flagged(tree: HopTree, flag: str) -> HopTree:
+    """The tree that `tree` flagged `flag` stands for."""
+    return merge_chains(tree) if flag == "compacted" else tree
+
+
+def draw_case(randint) -> tuple:
+    """The tree `draw_seeded` stands for, and the output length."""
+    tree, flag, out_bits = draw_seeded(randint)
+    return _flagged(tree, flag), out_bits
+
+
+def check_tree(tree: HopTree, out_bits: int) -> str:
     """Assert every property of the module docstring; returns the digest
     of the tree's seeded message in hex."""
-    nodes = map_hop_tree_to_node_tree(tree, compaction)
+    nodes = map_hop_tree_to_node_tree(tree)
     ok, why = validate_node_tree(nodes)
     assert ok, why
     schedule = simulate(nodes, out_bits)
@@ -98,16 +113,30 @@ def check_tree(tree: HopTree, compaction: str, out_bits: int) -> str:
     par = evaluate_parallel(nodes, message, out_bits, schedule=schedule)
     assert seq.bits == par.bits
     assert seq.total_calls == par.total_calls == schedule.total_calls
-    assert treeio.load_plan(_document(tree, compaction, nodes)).node_tree \
-        == nodes
+    assert treeio.load_plan(_document(tree)).node_tree == nodes
     return seq.hex()
 
 
-def _document(tree: HopTree, compaction: str, nodes) -> str:
+def _document(tree: HopTree) -> str:
     """The plan document of a tree no strategy built: no predictions."""
+    nodes = map_hop_tree_to_node_tree(tree)
     report = PlanReport("random", None, tree.message_bits, 0, 0, 0,
                         nodes.node_count)
-    return treeio.dump_plan(Plan("random", compaction, tree, nodes, report))
+    return treeio.dump_plan(Plan("random", tree, nodes, report))
+
+
+def _pinned_document(tree: HopTree, flag: str) -> dict:
+    """`tree` as a `sakura-plan/2` document flagged `flag`."""
+    doc = json.loads(_document(tree))
+    doc.update(schema="sakura-plan/2", compaction=flag)
+    return doc
+
+
+def _pinned_tree(doc: dict) -> HopTree:
+    """The tree a pinned `sakura-plan/2` document stands for."""
+    doc = dict(doc, schema=treeio.PLAN_SCHEMA)
+    flag = doc.pop("compaction")
+    return _flagged(treeio.load_plan(json.dumps(doc)).hop_tree, flag)
 
 
 @st.composite
@@ -125,8 +154,7 @@ def test_pinned_hop_tree_digests():
     cases = json.loads(PINNED.read_text())
     assert len(cases) == 32
     for i, case in enumerate(cases):
-        plan = treeio.load_plan(json.dumps(case["plan"]))
-        got = check_tree(plan.hop_tree, plan.compaction, 512)
+        got = check_tree(_pinned_tree(case["plan"]), 512)
         assert got == case["digest_hex"], i
 
 
@@ -134,11 +162,10 @@ def record(count: int = 32) -> None:
     """Write the digests of the trees drawn from seeds 0..count-1."""
     rows = []
     for seed in range(count):
-        tree, compaction, _ = draw_case(random.Random(seed).randint)
-        nodes = map_hop_tree_to_node_tree(tree, compaction)
+        tree, flag, _ = draw_seeded(random.Random(seed).randint)
         rows.append(json.dumps({
-            "plan": json.loads(_document(tree, compaction, nodes)),
-            "digest_hex": check_tree(tree, compaction, 512)},
+            "plan": _pinned_document(tree, flag),
+            "digest_hex": check_tree(_flagged(tree, flag), 512)},
             sort_keys=True))
     PINNED.write_text("[\n" + ",\n".join(rows) + "\n]\n")
 

@@ -1,4 +1,5 @@
-"""Planners: catalogue fidelity, composition, model selection, compaction."""
+"""Planners: catalogue fidelity, composition, model selection, the
+compacted construction."""
 
 import dataclasses
 
@@ -10,15 +11,13 @@ from parashake.errors import MessageTooShortError, NodeCapacityError
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
                                leaf_idle_slack, max_single_kangaroo, plan,
-                               plan_compacted, plan_compacted_relaxed,
-                               plan_single, plan_ternary,
                                plan_ternary_with_model, predict, select_model)
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
                               map_hop_tree_to_node_tree, validate_node_tree)
 
 
 def simulate_fragment(root, total, as_final=False):
-    tree = map_hop_tree_to_node_tree(HopTree(root, total), "aligned",
+    tree = map_hop_tree_to_node_tree(HopTree(root, total),
                                      root_final=as_final)
     return scheduler.simulate(tree), tree
 
@@ -111,26 +110,26 @@ def test_model_examples():
 
 
 def test_ternary_fig3():
-    p = plan_ternary(29457)
+    p = plan("ternary", 29457)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, p.report.node_count) == (4, 27)
     assert s.total_stalls == 0
 
 
 def test_ternary_small_bands():
-    p = plan_ternary(2170)
+    p = plan("ternary", 2170)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, s.processors) == (2, 1)
-    p = plan_ternary(3273)
+    p = plan("ternary", 3273)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, s.processors) == (2, 3)
-    p = plan_ternary(3274)
+    p = plan("ternary", 3274)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, s.processors) == (2, 3)
-    p = plan_ternary(2171)
+    p = plan("ternary", 2171)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, s.processors) == (2, 2)
-    p = plan_ternary(700)
+    p = plan("ternary", 700)
     s = scheduler.simulate(p.node_tree)
     assert (s.depth, s.processors) == (1, 1)
 
@@ -139,7 +138,7 @@ def test_ternary_depth_formula_sweep(rng):
     ns = [3275, 6546, 6547, 9819, 9820, 29457]
     ns += [rng.randrange(3275, 10 ** 6) for _ in range(20)]
     for n in ns:
-        p = plan_ternary(n)
+        p = plan("ternary", n)
         s = scheduler.simulate(p.node_tree)
         assert s.depth == ceil_log3_ratio(n, 3273) + 2, n
         assert p.report.node_count <= 3 * -(-n // 3273), n
@@ -153,7 +152,7 @@ def test_ternary_last_part_models(rng):
     for rem, nodes_for_last in ((1, 1), (2169, 1), (2170, 2), (2704, 2),
                                 (2705, 3), (3273, 3)):
         n = 3273 * 3 + rem
-        p = plan_ternary(n)
+        p = plan("ternary", n)
         assert p.report.node_count == 9 + nodes_for_last, rem
 
 
@@ -190,7 +189,7 @@ def test_plan_with_model_examples():
     assert (s.depth, s.processors) == (4, 5)
     assert p.report.tree_height == 0
     # same depth as the bulk plan, never more processors
-    t = plan_ternary(29457)
+    t = plan("ternary", 29457)
     pm = plan_ternary_with_model(29457)
     st_ = scheduler.simulate(t.node_tree)
     sm = scheduler.simulate(pm.node_tree)
@@ -236,7 +235,7 @@ def test_summation_identity():
 
 
 def test_compacted_fig_sizes():
-    p = plan_compacted(29457)
+    p = plan("compacted", 29457)
     s = scheduler.simulate(p.node_tree)
     assert p.report.tree_height == 3
     assert s.depth == 4
@@ -248,7 +247,7 @@ def test_compacted_fig_sizes():
 
 def test_compacted_has_no_alignment_pads():
     for n in (29457, 9884, 123456):
-        p = plan_compacted(n)
+        p = plan("compacted", n)
         for node in p.node_tree.nodes:
             assert not any(is_pad(s) for s in node.segments)
 
@@ -257,7 +256,7 @@ def test_compacted_sweep(rng):
     ns = [2171, 3274, 3275, 9884, 9885, 29457]
     ns += [rng.randrange(1, 10 ** 6) for _ in range(25)]
     for n in ns:
-        p = plan_compacted(n)
+        p = plan("compacted", n)
         s = scheduler.simulate(p.node_tree)
         assert s.depth <= ceil_log3_ratio(n + 31, 3305) + 2, n
         assert p.report.node_count <= 3 * -(-(n + 31) // 3305), n
@@ -281,8 +280,8 @@ def test_compacted_depth_monotone(rng):
 
 def test_relaxed_identical_below_boundary(rng):
     for n in [3275, 29457] + [rng.randrange(1, 10 ** 6) for _ in range(15)]:
-        a = plan_compacted(n)
-        b = plan_compacted_relaxed(n)
+        a = plan("compacted", n)
+        b = plan("compacted-relaxed", n)
         assert a.node_tree == b.node_tree, n
 
 
@@ -332,7 +331,7 @@ def _synthetic_relaxed_fragment(parent_blocks: int, grow: tuple,
             off += bits
     assert len(children) == n_cv + 1
     root = ChainingHop(tuple(children), kangaroo_first=True)
-    tree = map_hop_tree_to_node_tree(HopTree(root, off), "compacted",
+    tree = map_hop_tree_to_node_tree(HopTree(root, off),
                                      root_final=as_final)
     return scheduler.simulate(tree), off
 
@@ -431,7 +430,7 @@ def test_report_is_the_prediction(strategy):
 
 def test_ternary_is_the_model_2_composition():
     for n in (3275, 9820, 29457, 10 ** 5):
-        a, b = plan_ternary(n), plan_ternary_with_model(n, 2)
+        a, b = plan("ternary", n), plan_ternary_with_model(n, 2)
         assert (a.strategy, b.strategy) == ("ternary", "ternary-min-procs")
         assert a.hop_tree == b.hop_tree and a.node_tree == b.node_tree
         assert a.report == dataclasses.replace(b.report, strategy="ternary")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frame, is_pad, text01
+from oracles import frame, is_pad, merge_chains, text01
 from parashake import planner
 from parashake.errors import (GrammarError, SliceRangeError,
                               TooManyChainingValues)
@@ -166,20 +166,6 @@ def test_encode_rejects_bad_chains():
         encode_node(MessageHop(0, 10), [lone])
 
 
-def test_compacted_merge():
-    base = ChainingHop((MessageHop(0, 1111), MessageHop(0, 1081),
-                        MessageHop(0, 1081)))
-    upper = ChainingHop((base, MessageHop(0, 1), MessageHop(0, 1)),
-                        aligned=True)
-    node = encode_node(MessageHop(0, 1111), [base, upper], is_final=True,
-                       align_to_rate=False, producer_ids=[0, 1, 2, 3])
-    # one merged chaining hop: 4 slots, a single 33-bit frame, no pads
-    assert not any(is_pad(s) for s in node.segments)
-    assert sum(1 for s in node.segments if isinstance(s, CVSlot)) == 4
-    ok, why = validate_grammar(node)
-    assert ok, why
-
-
 # ---------------------------------------------------------------------------
 # hop indexing
 
@@ -219,22 +205,24 @@ def test_single_hop_maps_to_one_node():
 
 
 def test_mapping_is_deterministic():
-    plan = planner.plan_ternary(29457)
-    again = map_hop_tree_to_node_tree(plan.hop_tree, "aligned")
+    plan = planner.plan("ternary", 29457)
+    again = map_hop_tree_to_node_tree(plan.hop_tree)
     assert again == plan.node_tree
 
 
 def test_ternary_tree_maps_to_27_nodes():
-    plan = planner.plan_ternary(29457)
+    plan = planner.plan("ternary", 29457)
     assert plan.node_tree.node_count == 27
     ok, why = validate_node_tree(plan.node_tree)
     assert ok, why
 
 
 def test_compacted_mapping_single_chain_hop_per_node():
-    plan = planner.plan_ternary(29457)
-    compacted = map_hop_tree_to_node_tree(plan.hop_tree, "compacted")
+    plan = planner.plan("ternary", 29457)
+    compacted = map_hop_tree_to_node_tree(merge_chains(plan.hop_tree))
     assert compacted.node_count == plan.node_tree.node_count
+    ok, why = validate_node_tree(compacted)
+    assert ok, why
     for node in compacted.nodes:
         frames = [s for s in node.segments if isinstance(s, FrameBits)]
         assert sum(1 for f in frames if f.length == 33) <= 1
@@ -283,9 +271,9 @@ def test_coded_count_mismatch_rejected():
 
 
 def test_every_frame_bit_mutation_rejected(rng):
-    plan = planner.plan_ternary(29457)
+    plan = planner.plan("ternary", 29457)
     nodes = list(plan.node_tree.nodes)
-    plan2 = planner.plan_compacted(6000)
+    plan2 = planner.plan("compacted", 6000)
     nodes += list(plan2.node_tree.nodes)
     checked = 0
     for node in nodes:
@@ -363,7 +351,7 @@ def test_zero_length_cv_slot_is_read_once():
 
 def test_fragment_trees_validate():
     root, total = planner.max_single_kangaroo(3)
-    nt = map_hop_tree_to_node_tree(HopTree(root, total), "aligned",
+    nt = map_hop_tree_to_node_tree(HopTree(root, total),
                                   root_final=False)
     ok, why = validate_node_tree(nt, fragment=True)
     assert ok, why

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import longest_path_depth, rigid_schedule
+from oracles import longest_path_depth, merge_chains, rigid_schedule
 from parashake import planner, scheduler
 from parashake.errors import DependencyCycleError, OutputLengthError
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
@@ -11,7 +11,7 @@ from parashake.scheduler import simulate, validate_happens_before
 
 
 def fragment(root, total, as_final=False):
-    return map_hop_tree_to_node_tree(HopTree(root, total), "aligned",
+    return map_hop_tree_to_node_tree(HopTree(root, total),
                                      root_final=as_final)
 
 
@@ -23,7 +23,7 @@ def test_single_node_depth():
 
 
 def test_fig3_depth_and_processors():
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     s = simulate(p.node_tree)
     assert s.depth == 4
     assert s.processors == 27
@@ -44,7 +44,7 @@ def test_model6_subtree_timing():
 
 
 def test_block_times_are_consecutive_without_stalls():
-    p = planner.plan_compacted(50000)
+    p = planner.plan("compacted", 50000)
     s = simulate(p.node_tree)
     for t in s.timings:
         assert list(t.block_end) == list(range(1, len(t.block_end) + 1))
@@ -69,7 +69,7 @@ def test_rigid_schedule_violates_happens_before():
     tree = fragment(root, 2169)
     assert not validate_happens_before(rigid_schedule(tree), tree)
     # but a rigid schedule of a stall-free plan is the simulated one
-    p = planner.plan_compacted(29457)
+    p = planner.plan("compacted", 29457)
     assert validate_happens_before(rigid_schedule(p.node_tree), p.node_tree)
 
 
@@ -102,17 +102,17 @@ def test_depth_equals_longest_path(rng):
 
 
 def test_stalled_tree_depth_equals_longest_path():
-    # merging the aligned plan destroys alignment and induces stalls;
-    # the stall-aware depth still equals the critical path
-    p = planner.plan_ternary(29457)
-    merged = map_hop_tree_to_node_tree(p.hop_tree, "compacted")
+    # merging the aligned plan's kangaroo chains destroys alignment and
+    # induces stalls; the stall-aware depth still equals the critical path
+    p = planner.plan("ternary", 29457)
+    merged = map_hop_tree_to_node_tree(merge_chains(p.hop_tree))
     s = simulate(merged)
     assert s.total_stalls > 0
     assert s.depth == longest_path_depth(merged)
 
 
 def test_squeeze_charged_to_final_node():
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     base = simulate(p.node_tree, out_bits=512)
     long = simulate(p.node_tree, out_bits=4096)
     assert long.depth == base.depth + 3          # ceil(4096/1088) - 1
@@ -130,7 +130,7 @@ def test_output_length_must_be_positive(out_bits):
 
 
 def test_work_totals(rng):
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     s = simulate(p.node_tree)
     assert s.absorb_calls == sum(n.blocks for n in p.node_tree.nodes)
     assert s.processors == 27
@@ -139,7 +139,7 @@ def test_work_totals(rng):
 
 
 def test_max_concurrency():
-    p = planner.plan_ternary(29457)
+    p = planner.plan("ternary", 29457)
     s = simulate(p.node_tree)
     # 27 single-processor nodes all absorb during the first unit
     assert s.max_concurrency == 27

@@ -10,7 +10,7 @@ from oracles import from01
 from parashake import keccak, sakura, sponge
 from parashake.bits import BitString
 from parashake.errors import BlockAlignmentError, OutputLengthError
-from parashake.planner import plan_single
+from parashake.planner import plan
 from parashake.scheduler import simulate
 from parashake.sponge import inner_f, rawshake_cost, shake256, xof_output
 
@@ -135,7 +135,7 @@ def test_rawshake_cost_values():
 def test_rawshake_squeeze_matches_simulation():
     # a one-node plan of the empty message absorbs one block, so the rest
     # of the cost is the squeeze calls that the scheduler charges
-    tree = plan_single(0).node_tree
+    tree = plan("single", 0).node_tree
     for d in (1, 512, 1087, 1088, 1089, 2176, 2177, 4096):
         assert rawshake_cost(0, d) - 1 == simulate(tree, d).squeeze_calls, d
 

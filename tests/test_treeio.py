@@ -35,10 +35,8 @@ def test_loaded_plan_equals_original():
 def test_plan_document_shape():
     plan = planner.plan("compacted", 9884)
     doc = json.loads(treeio.dump_plan(plan))
-    assert doc["schema"] == "sakura-plan/2"
-    assert set(doc) == {"schema", "compaction", "message_bits", "report",
-                        "hops"}
-    assert doc["compaction"] == "compacted"
+    assert doc["schema"] == "sakura-plan/3"
+    assert set(doc) == {"schema", "message_bits", "report", "hops"}
     assert doc["message_bits"] == 9884
     assert doc["report"]["node_count"] == plan.node_tree.node_count
     # hop indices: the final hop has the empty index
@@ -67,9 +65,9 @@ def test_load_rejects_bad_documents():
     broken["hops"] = []
     with pytest.raises(GrammarError):
         treeio.load_plan(json.dumps(broken))
-    broken = json.loads(treeio.dump_plan(plan))
-    broken["compaction"] = "sparse"
-    with pytest.raises(GrammarError):
+    # a /2 document, which named one of two mappings, is not read as /3
+    broken = dict(doc, schema="sakura-plan/2", compaction="compacted")
+    with pytest.raises(GrammarError, match="not a sakura-plan/3 document"):
         treeio.load_plan(json.dumps(broken))
 
 
