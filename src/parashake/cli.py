@@ -20,7 +20,8 @@ from .evaluate import evaluate_sequential  # noqa: F401
 from .sakura import validate_node_tree
 
 
-def _add_input_args(p: argparse.ArgumentParser, required: bool) -> None:
+def _add_input_args(p: argparse.ArgumentParser, required: bool):
+    """Add the message sources and `--bits`; returns the sources' group."""
     group = p.add_mutually_exclusive_group(required=required)
     group.add_argument("--in", dest="infile", metavar="FILE",
                        help="read the message from a file")
@@ -29,6 +30,7 @@ def _add_input_args(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--bits", type=int, default=0, metavar="N",
                    help="keep only the N low-order bits of the last byte "
                         "(1..7; 0 keeps the whole byte)")
+    return group
 
 
 def _read_message(args) -> BitString:
@@ -161,18 +163,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hash)
 
     p = sub.add_parser("plan", help="emit a plan document without hashing")
-    _add_input_args(p, required=False)
-    p.add_argument("--size-bits", type=int, metavar="N",
-                   help="plan for an N-bit message instead of reading one")
+    source = _add_input_args(p, required=False)
+    source.add_argument("--size-bits", type=int, metavar="N",
+                        help="plan for an N-bit message, reading none")
     p.add_argument("--strategy", choices=strategies, default="auto")
     p.add_argument("--emit-tree", metavar="PATH",
                    help="write the document here instead of stdout")
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("analyze", help="simulate a plan and print metrics")
-    _add_input_args(p, required=False)
-    p.add_argument("--plan", metavar="PATH", help="plan document to load")
-    p.add_argument("--size-bits", type=int, metavar="N")
+    source = _add_input_args(p, required=False)
+    source.add_argument("--plan", metavar="PATH", help="plan document to load")
+    source.add_argument("--size-bits", type=int, metavar="N")
     p.add_argument("--strategy", choices=strategies, default="auto")
     p.add_argument("--out-bits", type=int, default=512)
     p.add_argument("--emit-schedule", metavar="PATH")

@@ -17,19 +17,11 @@ that is not an earlier one raises `DependencyCycleError` before any node
 is evaluated.  Then, node by node, it runs `inner_f` for an inner node
 and `xof_output` for the final one.
 
-`evaluate_parallel` runs the schedule of `scheduler.simulate`, one
-simulated time unit after the other, on the calling thread.  A caller
-that has already simulated the tree passes that `Schedule` in, so the
-tree is simulated once.  The executor absorbs every (node, block) pair
-at the unit where the simulator ends that block.  The blocks of one unit
-go to `keccak.absorb_blocks` together, as one state per node in launches
-of at most `LAUNCH_CAP` states, so the kernel runs them as packed lanes.
-A maximal run of units in which one node absorbs alone (the whole of a
-`single` tree, the tail of a root) is one width-1 launch of all its
-blocks, so such a node costs what it costs the oracle.  A chaining value
-is ORed into its consumer's f-input before the launch that holds the
-block `NodeTree.deps` binds it to; in a width-1 run nothing else runs,
-so every producer of the run finished before it began.  The final
+`evaluate_parallel` runs, on the calling thread, the launches that
+`scheduler.launches` expands a schedule into.  Each launch is one
+`keccak.absorb_blocks` call with one state per node, so the kernel runs
+them as packed lanes.  A caller that has already simulated the tree
+passes that `Schedule` in, so the tree is simulated once.  The final
 node's squeeze stays scalar.  Scheduling metrics (depth, processors)
 come from the simulator, never from wall clocks.
 """
@@ -154,47 +146,21 @@ def _place(buf: bytearray, pos: int, cv: bytes) -> None:
     buf[lo:hi] = window.to_bytes(hi - lo, "little")
 
 
-def _launches(units: list):
-    """Yield the launches of a schedule, in order, as lists of (node id,
-    first block, block count).  A unit of several blocks goes out in
-    launches of at most `LAUNCH_CAP` states of one block each.  A maximal
-    run of units that each hold one block of the same node goes out as
-    one launch of all the run's blocks."""
-    u = 0
-    while u < len(units):
-        unit = units[u]
-        u += 1
-        if len(unit) != 1:
-            for lo in range(0, len(unit), LAUNCH_CAP):
-                yield [(nid, block, 1)
-                       for nid, block in unit[lo:lo + LAUNCH_CAP]]
-            continue
-        nid, block = unit[0]
-        first = u
-        while (u < len(units) and len(units[u]) == 1
-               and units[u][0][0] == nid):
-            u += 1
-        yield [(nid, block, 1 + u - first)]
-
-
 def evaluate_parallel(tree: NodeTree, message: BitString,
                       out_bits: int = 512,
                       max_workers: int | None = None,
                       schedule: scheduler.Schedule | None = None) -> Digest:
-    """Evaluate the tree as the simulated schedule runs it: each time
-    unit's blocks in launches of at most `LAUNCH_CAP` states, and each
-    run of units in which one node absorbs alone in one width-1 launch,
-    on the calling thread.
+    """Evaluate the tree by running the launches of
+    `scheduler.launches(schedule, LAUNCH_CAP)` in order, on the calling
+    thread.
 
     `schedule` is `scheduler.simulate(tree, out_bits)`, which is computed
-    here when it is not given.  A schedule for another output length, or
-    whose timings do not match the tree's nodes and their block counts,
-    raises `ValueError`.  A block
-    holding a chaining value ends at least one unit after its producer
-    finishes, so every value is ready when its block runs.  An `out_bits`
-    below 1, and a message whose length is not the tree's, are rejected
-    before any node is absorbed.  `max_workers` is unused; it is still
-    accepted because callers pass it.
+    here when it is not given.  A given schedule for another output
+    length, or one that fails `scheduler.validate_happens_before`, raises
+    `ValueError`.  An `out_bits` below 1, and a message whose length is
+    not the tree's, are rejected before any node is absorbed.
+    `max_workers` is unused; it is still accepted because callers pass
+    it.
     """
     check_out_bits(out_bits)
     nodes = tree.nodes
@@ -203,38 +169,28 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
     elif schedule.out_bits != out_bits:
         raise ValueError("schedule is for %d output bits, not %d"
                          % (schedule.out_bits, out_bits))
-    timings = schedule.timings
-    if len(timings) != len(nodes) or any(
-            len(t.block_end) != node.blocks
-            for t, node in zip(timings, nodes)):
-        raise ValueError("schedule does not match the tree's nodes")
+    elif not scheduler.validate_happens_before(schedule, tree):
+        raise ValueError("schedule cannot run this tree")
     if not nodes[-1].is_final:
         raise ValueError("tree has no final node")
     _check_message(tree, message)
     rate = RATE_BITS // 8
-    units = [[] for _ in range(max(t.finish for t in timings) + 1)]
-    for t in timings:
-        for block, end in enumerate(t.block_end):
-            units[end].append((t.node_id, block))
-    binds = {}
-    for nid, node_deps in enumerate(tree.deps):
-        for block, producer, pos in node_deps:
-            binds.setdefault((nid, block), []).append((producer, pos))
+    deps = tree.deps
     data = message.to_bytes()
     inputs = {}            # f-input bytes of each node being absorbed
     states = {}            # state of each node between two of its launches
     cvs = {}
     calls = 0
     zero = bytes(_STATE_BYTES)
-    for launch in _launches(units):
+    for launch in scheduler.launches(schedule, LAUNCH_CAP):
         blocks = []
         for nid, block, count in launch:
             if not block:
                 inputs[nid] = bytearray(materialize_node(
                     nodes[nid], data, len(message), {}).to_bytes())
             buf = inputs[nid]
-            for b in range(block, block + count):
-                for producer, pos in binds.get((nid, b), ()):
+            for b, producer, pos in deps[nid]:
+                if block <= b < block + count:
                     _place(buf, pos, cvs[producer])
             blocks.append(buf[block * rate:(block + count) * rate])
         state = bytearray(b"".join(states.pop(nid, zero)
@@ -252,4 +208,3 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
             else:
                 cvs[nid] = bytes(own[:CV_BITS // 8])
     return Digest(digest, calls)
-

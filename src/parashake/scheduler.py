@@ -15,6 +15,7 @@ depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .sakura import RATE_BITS, NodeTree
 from .sponge import check_out_bits
@@ -22,13 +23,16 @@ from .sponge import check_out_bits
 
 @dataclass(frozen=True)
 class NodeTiming:
-    node_id: int
+    """The timing of the node at the same position in the tree."""
     block_end: tuple          # absorption end time of each block, 1-based
-    stalls: int
 
     @property
     def finish(self) -> int:
         return self.block_end[-1]
+
+    @property
+    def stalls(self) -> int:
+        return self.finish - len(self.block_end)
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
     check_out_bits(out_bits)
     finish = []
     timings = []
-    for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
+    for node, node_deps in zip(tree.nodes, tree.deps):
         ready = [0] * node.blocks
         for block, producer, _ in node_deps:
             if finish[producer] > ready[block]:
@@ -68,7 +72,7 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
             end = max(end, r) + 1
             ends.append(end)
         finish.append(end)
-        timings.append(NodeTiming(nid, tuple(ends), end - node.blocks))
+        timings.append(NodeTiming(tuple(ends)))
     squeeze = 0
     if tree.nodes[-1].is_final:
         squeeze = max(0, -(-out_bits // RATE_BITS) - 1)
@@ -82,17 +86,53 @@ def simulate(tree: NodeTree, out_bits: int = 512) -> Schedule:
 
 
 def validate_happens_before(schedule: Schedule, tree: NodeTree) -> bool:
-    """True iff every chaining value is finished strictly before the
+    """True iff `schedule` can run `tree`: one timing per node, one end
+    per block of the node, ends that are at least 1 and strictly
+    increasing, and every chaining value finished strictly before the
     absorption of the block holding it starts."""
-    deps = tree.deps
-    finish = {t.node_id: t.finish for t in schedule.timings}
-    for timing in schedule.timings:
+    timings = schedule.timings
+    if len(timings) != len(tree.nodes):
+        return False
+    finish = []
+    for timing, node, node_deps in zip(timings, tree.nodes, tree.deps):
         ends = timing.block_end
-        if len(ends) != tree.nodes[timing.node_id].blocks:
+        if (len(ends) != node.blocks or ends[0] < 1
+                or any(map(ge, ends, ends[1:]))):
             return False
-        if any(b <= a for a, b in zip((0,) + ends, ends)):
-            return False                 # blocks absorb one per unit
-        for block, producer, _ in deps[timing.node_id]:
-            if finish[producer] > ends[block] - 1:
+        for block, producer, _ in node_deps:
+            if finish[producer] >= ends[block]:
                 return False
+        finish.append(ends[-1])
     return True
+
+
+def launches(schedule: Schedule, cap: int) -> list:
+    """The launches that run `schedule`, in order: lists of (node id,
+    first block, block count).  A time unit of several blocks goes out in
+    launches of at most `cap` states of one block each.  A maximal run of
+    units that each hold one block of one node goes out as one launch of
+    all the run's blocks.  For a schedule that passes
+    `validate_happens_before`, every producer's last block is in an
+    earlier launch than the block holding its value."""
+    timings = schedule.timings
+    units = [[] for _ in range(max(t.finish for t in timings) + 1)]
+    for nid, t in enumerate(timings):
+        for block, end in enumerate(t.block_end):
+            units[end].append((nid, block))
+    out = []
+    u = 0
+    while u < len(units):
+        unit = units[u]
+        u += 1
+        if len(unit) != 1:
+            for lo in range(0, len(unit), cap):
+                out.append([(nid, block, 1)
+                            for nid, block in unit[lo:lo + cap]])
+            continue
+        nid, block = unit[0]
+        first = u
+        while (u < len(units) and len(units[u]) == 1
+               and units[u][0][0] == nid):
+            u += 1
+        out.append([(nid, block, 1 + u - first)])
+    return out

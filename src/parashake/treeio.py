@@ -149,9 +149,9 @@ def dump_schedule(schedule: Schedule) -> str:
         "absorb_calls": schedule.absorb_calls,
         "squeeze_calls": schedule.squeeze_calls,
         "out_bits": schedule.out_bits,
-        "rows": [{"node_id": t.node_id, "block_times": list(t.block_end),
+        "rows": [{"node_id": nid, "block_times": list(t.block_end),
                   "finish": t.finish, "stalls": t.stalls}
-                 for t in schedule.timings],
+                 for nid, t in enumerate(schedule.timings)],
     }
     return _dump(doc)
 

@@ -181,9 +181,8 @@ def longest_path_depth(tree: NodeTree) -> int:
 
 
 def rigid_schedule(tree: NodeTree, out_bits: int = 512) -> Schedule:
-    timings = []
-    for nid, node in enumerate(tree.nodes):
-        timings.append(NodeTiming(nid, tuple(range(1, node.blocks + 1)), 0))
+    timings = [NodeTiming(tuple(range(1, node.blocks + 1)))
+               for node in tree.nodes]
     depth = max(t.finish for t in timings)
     return Schedule(tuple(timings), depth, len(tree.nodes), 0,
                     sum(n.blocks for n in tree.nodes), 0, out_bits)

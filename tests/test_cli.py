@@ -224,6 +224,27 @@ def test_unwritable_emit_path_prints_no_report(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--size-bits", "100", "--hex", "00"),
+    ("analyze", "--plan", "PLAN", "--size-bits", "5"),
+    ("analyze", "--plan", "PLAN", "--hex", "00"),
+    ("analyze", "--plan", "PLAN", "--in", "MESSAGE"),
+    ("plan", "--size-bits", "5", "--hex", "00"),
+    ("plan", "--in", "MESSAGE", "--size-bits", "5"),
+    ("hash", "--in", "MESSAGE", "--hex", "00"),
+])
+def test_conflicting_message_sources_are_rejected(capsys, tmp_path, argv):
+    # one source per run: a second one is an error, not silently dropped
+    files = {"PLAN": tmp_path / "plan.json", "MESSAGE": tmp_path / "m.bin"}
+    files["PLAN"].write_text(treeio.dump_plan(planner.plan("ternary", 9819)))
+    files["MESSAGE"].write_bytes(bytes(40))
+    with pytest.raises(SystemExit) as exc:
+        main([str(files.get(arg, arg)) for arg in argv])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "error: argument" in err and "not allowed with" in err
+
+
 @pytest.mark.parametrize("hexstr", ["zz", "abc", "0g"])
 def test_bad_hex_is_reported(capsys, hexstr):
     code, out, err = run_cli(capsys, "hash", "--hex", hexstr)

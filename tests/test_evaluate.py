@@ -3,16 +3,20 @@
 import json
 import pathlib
 import threading
+from dataclasses import replace
 
 import pytest
 
-from oracles import random_topological_order
+from oracles import random_topological_order, rigid_schedule
 from parashake import evaluate, keccak, planner, scheduler, selftest
 from parashake.bits import BitString
 from parashake.errors import (DependencyCycleError, OutputLengthError,
                               SliceRangeError)
 from parashake.evaluate import (evaluate_parallel, evaluate_sequential,
                                 materialize_node)
+from parashake.sakura import (ChainingHop, HopTree, MessageHop,
+                              map_hop_tree_to_node_tree)
+from parashake.scheduler import NodeTiming
 from parashake.sponge import shake256
 
 
@@ -230,6 +234,34 @@ def test_bad_out_bits_fail_before_hashing(monkeypatch, rng, executor,
     p = planner.plan("ternary", 29457)
     with pytest.raises(OutputLengthError):
         executor(p.node_tree, random_message(rng, 29457), out_bits)
+
+
+def _unrunnable(case: str) -> tuple:
+    """A 2,169-bit tree and a schedule that cannot run it."""
+    if case == "block-ends-2-2":
+        tree = planner.plan("single", 2169).node_tree
+        return tree, replace(scheduler.simulate(tree),
+                             timings=(NodeTiming((2, 2)),))
+    tree = map_hop_tree_to_node_tree(HopTree(
+        ChainingHop((MessageHop(0, 2169),), kangaroo_first=False), 2169))
+    if case == "rigid":
+        return tree, rigid_schedule(tree)
+    sched = scheduler.simulate(tree)
+    return tree, replace(sched, timings=sched.timings[:-1])
+
+
+@pytest.mark.parametrize("case", ["block-ends-2-2", "rigid",
+                                  "missing-last-timing"])
+def test_unrunnable_schedule_fails_before_hashing(monkeypatch, rng, case):
+    # a schedule that absorbs two blocks of a node in one unit, reads a
+    # value before its producer finishes, or leaves a node out is
+    # rejected, not run into a wrong digest or a KeyError
+    tree, sched = _unrunnable(case)
+    assert not scheduler.validate_happens_before(sched, tree)
+    monkeypatch.setattr(keccak, "absorb_blocks", _no_permutations)
+    monkeypatch.setattr(keccak, "permute", _no_permutations)
+    with pytest.raises(ValueError):
+        evaluate_parallel(tree, random_message(rng, 2169), schedule=sched)
 
 
 @pytest.mark.parametrize("extra", [-1, 8])

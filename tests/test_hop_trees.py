@@ -1,10 +1,10 @@
 """Random hop trees: every tree the mapping accepts validates, schedules
-without a happens-before violation, hashes to one digest and one call
-count under both executors, and survives a plan-document round trip.
+without a happens-before violation, expands into the launches a brute
+expansion of its schedule gives, hashes to one digest and one call count
+under both executors, and survives a plan-document round trip.
 
-`data/hop_tree_digests.json` pins 32 seeded trees with their 512-bit
-digests, as `sakura-plan/2` documents: a tree marked "compacted" stands
-for its `merge_chains` rewrite.  `PYTHONPATH=src python
+`data/hop_tree_digests.json` pins 32 seeded trees, as `sakura-plan/3`
+documents, with their 512-bit digests.  `PYTHONPATH=src python
 tests/test_hop_trees.py` rewrites it; do that only when the function
 being computed is meant to change.
 """
@@ -12,18 +12,20 @@ being computed is meant to change.
 import json
 import pathlib
 import random
+from itertools import groupby
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_pad, merge_chains
-from parashake import treeio
+from parashake import evaluate, treeio
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
 from parashake.planner import Plan, PlanReport
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
                               map_hop_tree_to_node_tree, validate_node_tree)
-from parashake.scheduler import simulate, validate_happens_before
+from parashake.scheduler import launches, simulate, validate_happens_before
 
 PINNED = pathlib.Path(__file__).parent / "data" / "hop_tree_digests.json"
 
@@ -63,14 +65,13 @@ def _first_pad_zeros(shape) -> int:
                 0)
 
 
-def draw_seeded(randint) -> tuple:
-    """A hop tree of depth 1 to 3, a "compaction" flag and an output
-    length, from `randint(lo, hi)` draws.  Chaining hops have 2 to 5
-    children and random kangaroo and `aligned` flags; message hops hold
-    0, 1, 7, 8 or up to 5000 bits.  Half the trees lengthen the root
-    node's first hop so that its first alignment pad has no zeros.  The
-    flag, "aligned" or "compacted", is what the pinned documents record
-    for the tree."""
+def draw_case(randint) -> tuple:
+    """A hop tree of depth 1 to 3 and an output length, from
+    `randint(lo, hi)` draws.  Chaining hops have 2 to 5 children and
+    random kangaroo and `aligned` flags; message hops hold 0, 1, 7, 8 or
+    up to 5000 bits.  Half the trees lengthen the root node's first hop
+    so that its first alignment pad has no zeros, and half are rewritten
+    by `merge_chains` into one merged chaining hop per node."""
     def length():
         return (0, 1, 7, 8)[randint(0, 3)] if randint(0, 1) else \
             randint(0, 5000)
@@ -84,19 +85,10 @@ def draw_seeded(randint) -> tuple:
     root = shape(randint(1, 3), root=True)
     if randint(0, 1):
         root = _grow_first_hop(root, _first_pad_zeros(root))
-    return _tree(root), ("aligned", "compacted")[randint(0, 1)], \
-        randint(1, 2177)
-
-
-def _flagged(tree: HopTree, flag: str) -> HopTree:
-    """The tree that `tree` flagged `flag` stands for."""
-    return merge_chains(tree) if flag == "compacted" else tree
-
-
-def draw_case(randint) -> tuple:
-    """The tree `draw_seeded` stands for, and the output length."""
-    tree, flag, out_bits = draw_seeded(randint)
-    return _flagged(tree, flag), out_bits
+    tree = _tree(root)
+    if randint(0, 1):
+        tree = merge_chains(tree)
+    return tree, randint(1, 2177)
 
 
 def check_tree(tree: HopTree, out_bits: int) -> str:
@@ -125,20 +117,6 @@ def _document(tree: HopTree) -> str:
     return treeio.dump_plan(Plan("random", tree, nodes, report))
 
 
-def _pinned_document(tree: HopTree, flag: str) -> dict:
-    """`tree` as a `sakura-plan/2` document flagged `flag`."""
-    doc = json.loads(_document(tree))
-    doc.update(schema="sakura-plan/2", compaction=flag)
-    return doc
-
-
-def _pinned_tree(doc: dict) -> HopTree:
-    """The tree a pinned `sakura-plan/2` document stands for."""
-    doc = dict(doc, schema=treeio.PLAN_SCHEMA)
-    flag = doc.pop("compaction")
-    return _flagged(treeio.load_plan(json.dumps(doc)).hop_tree, flag)
-
-
 @st.composite
 def _cases(draw):
     return draw_case(lambda lo, hi: draw(st.integers(lo, hi)))
@@ -150,11 +128,49 @@ def test_random_hop_tree(case):
     check_tree(*case)
 
 
+def _brute_launches(schedule, cap: int) -> list:
+    """The launches of `schedule`, from its units built block by block:
+    each maximal run of one-block units of one node is one launch, and
+    every other unit goes out in slices of at most `cap` blocks."""
+    depth = max(t.finish for t in schedule.timings)
+    units = [[(nid, block) for nid, t in enumerate(schedule.timings)
+              for block, end in enumerate(t.block_end) if end == unit]
+             for unit in range(1, depth + 1)]
+    want = []
+    for nid, run in groupby(units, lambda unit:
+                            unit[0][0] if len(unit) == 1 else None):
+        run = list(run)
+        if nid is not None:
+            want.append([(nid, run[0][0][1], len(run))])
+            continue
+        for unit in run:
+            want += [[(nid, block, 1) for nid, block in unit[lo:lo + cap]]
+                     for lo in range(0, len(unit), cap)]
+    return want
+
+
+@pytest.mark.parametrize("cap", [1, 5, evaluate.LAUNCH_CAP])
+def test_launches_match_a_brute_expansion(cap):
+    for seed in range(32):
+        tree, out_bits = draw_case(random.Random(seed).randint)
+        schedule = simulate(map_hop_tree_to_node_tree(tree), out_bits)
+        got = launches(schedule, cap)
+        assert got == _brute_launches(schedule, cap), seed
+        assert all(1 <= len(launch) <= cap for launch in got), seed
+        # a launch is one round of many states or many rounds of one
+        rounds = [launch[0][2] for launch in got]
+        assert all(len(launch) == 1 or r == 1
+                   for launch, r in zip(got, rounds)), seed
+        assert sum(len(launch) * r for launch, r in zip(got, rounds)) == \
+            schedule.absorb_calls, seed
+
+
 def test_pinned_hop_tree_digests():
     cases = json.loads(PINNED.read_text())
     assert len(cases) == 32
     for i, case in enumerate(cases):
-        got = check_tree(_pinned_tree(case["plan"]), 512)
+        tree = treeio.load_plan(json.dumps(case["plan"])).hop_tree
+        got = check_tree(tree, 512)
         assert got == case["digest_hex"], i
 
 
@@ -162,11 +178,10 @@ def record(count: int = 32) -> None:
     """Write the digests of the trees drawn from seeds 0..count-1."""
     rows = []
     for seed in range(count):
-        tree, flag, _ = draw_seeded(random.Random(seed).randint)
+        tree, _ = draw_case(random.Random(seed).randint)
         rows.append(json.dumps({
-            "plan": _pinned_document(tree, flag),
-            "digest_hex": check_tree(_flagged(tree, flag), 512)},
-            sort_keys=True))
+            "plan": json.loads(_document(tree)),
+            "digest_hex": check_tree(tree, 512)}, sort_keys=True))
     PINNED.write_text("[\n" + ",\n".join(rows) + "\n]\n")
 
 
