@@ -144,7 +144,7 @@ def _brute_launches(schedule, cap: int) -> list:
             want.append([(nid, run[0][0][1], len(run))])
             continue
         for unit in run:
-            want += [[(nid, block, 1) for nid, block in unit[lo:lo + cap]]
+            want += [[(node, block, 1) for node, block in unit[lo:lo + cap]]
                      for lo in range(0, len(unit), cap)]
     return want
 
