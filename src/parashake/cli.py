@@ -27,7 +27,7 @@ def _add_input_args(p: argparse.ArgumentParser, required: bool):
                        help="read the message from a file")
     group.add_argument("--hex", dest="hexstr", metavar="HEX",
                        help="message as a hex byte string")
-    p.add_argument("--bits", type=int, default=0, metavar="N",
+    p.add_argument("--bits", type=int, metavar="N",
                    help="keep only the N low-order bits of the last byte "
                         "(1..7; 0 keeps the whole byte)")
     return group
@@ -44,11 +44,12 @@ def _read_message(args) -> BitString:
             raise TreeHashError("--hex: %s" % exc) from None
     else:
         raise TreeHashError("no input given")
-    if not 0 <= args.bits <= 7:
+    bits = args.bits or 0
+    if not 0 <= bits <= 7:
         raise TreeHashError("--bits must be in 0..7")
-    if args.bits and not data:
+    if bits and not data:
         raise TreeHashError("--bits needs a non-empty message")
-    length = 8 * len(data) - (8 - args.bits if args.bits else 0)
+    length = 8 * len(data) - (8 - bits if bits else 0)
     return BitString.from_bytes(data, length)
 
 
@@ -88,8 +89,18 @@ def cmd_hash(args) -> int:
     return 0
 
 
+def _reject_ignored(args, source: str, flags) -> None:
+    """A usage error for any of `flags` given next to `source`, which
+    would ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            args.parser.error("argument %s: not allowed with argument %s"
+                              % (flag, source))
+
+
 def _plan_size(args) -> int:
     if args.size_bits is not None:
+        _reject_ignored(args, "--size-bits", ["--bits"])
         if args.size_bits < 0:
             raise TreeHashError("--size-bits must be non-negative")
         return args.size_bits
@@ -109,10 +120,11 @@ def cmd_plan(args) -> int:
 
 def cmd_analyze(args) -> int:
     if args.plan is not None:
+        _reject_ignored(args, "--plan", ["--bits", "--strategy"])
         with open(args.plan, "rb") as f:
             plan = treeio.load_plan(f.read())
     else:
-        plan = planner.plan(args.strategy, _plan_size(args))
+        plan = planner.plan(args.strategy or "auto", _plan_size(args))
     ok, why = validate_node_tree(plan.node_tree)
     if not ok:
         print("plan-valid: no (%s)" % why)
@@ -169,16 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=strategies, default="auto")
     p.add_argument("--emit-tree", metavar="PATH",
                    help="write the document here instead of stdout")
-    p.set_defaults(fn=cmd_plan)
+    p.set_defaults(fn=cmd_plan, parser=p)
 
     p = sub.add_parser("analyze", help="simulate a plan and print metrics")
     source = _add_input_args(p, required=False)
     source.add_argument("--plan", metavar="PATH", help="plan document to load")
     source.add_argument("--size-bits", type=int, metavar="N")
-    p.add_argument("--strategy", choices=strategies, default="auto")
+    p.add_argument("--strategy", choices=strategies)
     p.add_argument("--out-bits", type=int, default=512)
     p.add_argument("--emit-schedule", metavar="PATH")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn=cmd_analyze, parser=p)
 
     p = sub.add_parser("selftest", help="run the built-in suites")
     p.add_argument("--quick", action="store_true",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
                      SliceRangeError, TooManyChainingValues)
@@ -230,37 +231,11 @@ def node_bit_cost(role: str, kind: str, l: int = 0, n_cv: int = 0) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Encoders
-
-def encode_message_hop(offset: int, length: int) -> list:
-    """Message bits followed by the closing '1'; empty slices encode as
-    the bare '1'."""
-    segs = []
-    if length:
-        segs.append(MessageBits(offset, length))
-    segs.append(FrameBits(1, 1))
-    return segs
-
-
-def encode_chaining_hop(producers) -> list:
-    """One chaining-value slot per producer, then the coded count, the
-    no-interleaving marker and the closing '0' (512*n + 33 bits)."""
-    segs = [CVSlot(p) for p in producers]
-    segs.append(chaining_frame_bits(len(segs)))
-    return segs
-
-
-def _tail_bits(is_final: bool, content_bits: int) -> FrameBits:
-    """Node tail: marker ('1' final, '10' inner), suffix '11' and
-    multi-rate pad '1 0^z 1'."""
-    marker = 1 if is_final else 2
-    z = -(content_bits + marker + 4) % RATE_BITS
-    return FrameBits(1 | 0b111 << marker | 1 << marker + 3 + z, marker + 4 + z)
-
+# Node encoding
 
 def encode_node(first, chain=(), is_final: bool = False,
                 producer_ids=None) -> NodeLayout:
-    """Lay out one node from a kangaroo chain.
+    """Lay out one node from a kangaroo chain, in stream order.
 
     `first` is the node's first hop (message or chaining hop); `chain`
     holds the subsequent chaining hops, outermost last.  `producer_ids`
@@ -268,50 +243,43 @@ def encode_node(first, chain=(), is_final: bool = False,
     to placeholders).  Each hop flagged `aligned` is packed flush against
     the end of a fresh rate block.
     """
-    chain = list(chain)
-    for hop in chain:
+    hops = list(chain)
+    for hop in hops:
         if not isinstance(hop, ChainingHop):
             raise GrammarError("only chaining hops may extend a node")
         if not hop.kangaroo_first:
             raise GrammarError("chain hops must absorb their first child")
-
-    ids = iter(producer_ids) if producer_ids is not None else None
-
-    def slots(hop):
-        cvs = hop.cv_children
-        if ids is None:
-            return [-1] * len(cvs)
-        return [next(ids) for _ in cvs]
-
-    segs = []
-    pos = 0
-
-    def put(seg):
-        nonlocal pos
-        segs.append(seg)
-        pos += seg.length
-
+    ids = repeat(-1) if producer_ids is None else iter(producer_ids)
+    marker = 1 if is_final else 2
+    tail = marker + 4
     if isinstance(first, MessageHop):
-        for seg in encode_message_hop(first.offset, first.length):
-            put(seg)
-    elif isinstance(first, ChainingHop):
-        if first.kangaroo_first:
-            raise GrammarError("the first hop of a node cannot absorb a child")
-        for seg in encode_chaining_hop(slots(first)):
-            put(seg)
-    else:
+        segs = []
+        if first.length:
+            segs.append(MessageBits(first.offset, first.length))
+        segs.append(FrameBits(1, 1))
+        pos = first.length + 1
+    elif not isinstance(first, ChainingHop):
         raise GrammarError("unknown hop %r" % (first,))
-
-    for idx, hop in enumerate(chain):
-        hop_len = hop.n_cv * CV_BITS + 33
-        last = idx == len(chain) - 1
-        tail_len = (1 if is_final else 2) + 4 if last else 0
-        zeros = -(pos + 1 + hop_len + tail_len) % RATE_BITS
-        put(FrameBits(1, 1 + zeros if hop.aligned else 1))
-        for seg in encode_chaining_hop(slots(hop)):
-            put(seg)
-
-    put(_tail_bits(is_final, pos))
+    elif first.kangaroo_first:
+        raise GrammarError("the first hop of a node cannot absorb a child")
+    else:
+        segs, pos = [], 0
+        hops.insert(0, first)
+    for i, hop in enumerate(hops):
+        frame = chaining_frame_bits(hop.n_cv)
+        size = hop.n_cv * CV_BITS + frame.length
+        if hop is not first:
+            zeros = 0
+            if hop.aligned:     # end flush: the hop, and the tail if last
+                end = pos + 1 + size + (tail if i == len(hops) - 1 else 0)
+                zeros = -end % RATE_BITS
+            segs.append(FrameBits(1, 1 + zeros))
+            pos += 1 + zeros
+        segs += [CVSlot(next(ids)) for _ in range(hop.n_cv)]
+        segs.append(frame)
+        pos += size
+    z = -(pos + tail) % RATE_BITS
+    segs.append(FrameBits(1 | 0b111 << marker | 1 << marker + 3 + z, tail + z))
     return NodeLayout(tuple(segs), is_final)
 
 

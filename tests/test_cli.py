@@ -232,6 +232,13 @@ def test_unwritable_emit_path_prints_no_report(capsys, tmp_path, argv):
     ("plan", "--size-bits", "5", "--hex", "00"),
     ("plan", "--in", "MESSAGE", "--size-bits", "5"),
     ("hash", "--in", "MESSAGE", "--hex", "00"),
+    # --bits trims a message read with --in or --hex; a plan fixes its
+    # strategy: either flag next to a source that ignores it is an error
+    ("plan", "--size-bits", "5", "--bits", "3"),
+    ("analyze", "--size-bits", "5", "--bits", "3"),
+    ("analyze", "--plan", "PLAN", "--bits", "3"),
+    ("analyze", "--plan", "PLAN", "--strategy", "single"),
+    ("analyze", "--plan", "PLAN", "--strategy", "auto"),
 ])
 def test_conflicting_message_sources_are_rejected(capsys, tmp_path, argv):
     # one source per run: a second one is an error, not silently dropped

@@ -12,8 +12,10 @@ from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
                                leaf_idle_slack, max_single_kangaroo, plan,
                                plan_ternary_with_model, predict, select_model)
-from parashake.sakura import (ChainingHop, HopTree, MessageHop,
+from parashake.planner import LEAF_CAPACITY
+from parashake.sakura import (ChainingHop, HopTree, MessageHop, encode_node,
                               map_hop_tree_to_node_tree, validate_node_tree)
+from parashake.sponge import RATE_BITS
 
 
 def simulate_fragment(root, total, as_final=False):
@@ -221,6 +223,44 @@ def test_plan_with_model_depth_equals_selection_target(rng):
 
 # ---------------------------------------------------------------------------
 # compacted
+
+
+def _node(bits: int, n_cv: int, final: bool):
+    """A message hop of `bits`, then a chaining hop of `n_cv` values."""
+    values = (MessageHop(0, 0),) * n_cv
+    chain = [ChainingHop((MessageHop(0, bits),) + values)] if n_cv else []
+    return encode_node(MessageHop(0, bits), chain, final,
+                       producer_ids=range(n_cv))
+
+
+def _fill(node) -> tuple:
+    """(blocks, zeros in the closing pad) of an encoded node."""
+    marker = 1 if node.is_final else 2
+    return node.blocks, node.segments[-1].length - marker - 4
+
+
+@pytest.mark.parametrize("final", (False, True))
+def test_capacities_are_the_writers_maxima(final):
+    # each message capacity the planner assumes fills the node the writer
+    # lays out exactly, and one more bit spills into a fresh block
+    for b in range(2, 21):
+        caps = planner._compacted_caps(b, False)
+        cap = planner._compacted_children(b, caps, False, final)[0][1]
+        assert cap == 64 * b + 983 + final
+        node = _node(cap, 2 * (b - 1), final)
+        assert _fill(node) == (b, 0)
+        assert _fill(_node(cap + 1, 2 * (b - 1), final)) == (b + 1, 1087)
+        starts = [pos for pos, _ in node.cv_positions()]
+        assert starts[0] == 64 * b + 985 + final
+        for slot in (0, 1):
+            assert (leaf_idle_slack(b, slot, final)
+                    == starts[slot] // RATE_BITS - 1)
+    assert LEAF_CAPACITY == 1081
+    lone = ([(RATE_BITS * k - 6, k) for k in range(1, 21)] if final
+            else [(LEAF_CAPACITY, 1)])
+    for cap, k in lone:
+        assert _fill(_node(cap, 0, final)) == (k, 0)
+        assert _fill(_node(cap + 1, 0, final)) == (k + 1, 1087)
 
 
 def test_compacted_capacity_closed_form():

@@ -10,8 +10,7 @@ from parashake.errors import (GrammarError, SliceRangeError,
                               TooManyChainingValues)
 from parashake.sakura import (ChainingHop, CVSlot, FrameBits,
                               HopTree, MessageBits, MessageHop, NodeLayout,
-                              chaining_frame_bits, encode_chaining_hop,
-                              encode_message_hop, encode_node, iter_hops,
+                              chaining_frame_bits, encode_node, iter_hops,
                               map_hop_tree_to_node_tree, node_bit_cost,
                               validate_grammar, validate_node_tree)
 
@@ -81,17 +80,25 @@ def test_encoded_size_matches_formula(role, kind, l, n_cv):
 # hop encodings
 
 
+def hop_bits(node: NodeLayout) -> int:
+    """Bits of a node's hops: everything before its tail."""
+    return node.total_bits - node.segments[-1].length
+
+
 def test_message_hop_encoding():
-    assert [type(s) for s in encode_message_hop(0, 0)] == [FrameBits]
-    segs = encode_message_hop(5, 9)
-    assert sum(s.length for s in segs) == 10
-    assert segs[-1] == FrameBits(1, 1)
+    empty = encode_node(MessageHop(0, 0))
+    assert empty.segments[:-1] == (FrameBits(1, 1),)
+    node = encode_node(MessageHop(5, 9))
+    assert node.segments[:-1] == (MessageBits(5, 9), FrameBits(1, 1))
+    assert hop_bits(node) == 10
 
 
 def test_chaining_hop_lengths():
     for n_cv, want in ((1, 545), (2, 1057), (4, 2081), (255, 130593)):
-        segs = encode_chaining_hop([-1] * n_cv)
-        assert sum(s.length for s in segs) == want
+        lone = ChainingHop((MessageHop(0, 0),) * n_cv, kangaroo_first=False)
+        node = encode_node(lone)
+        assert hop_bits(node) == want
+        assert node.segments[-2] == chaining_frame_bits(n_cv)
 
 
 def test_chaining_frame_bit_pattern():
@@ -104,8 +111,12 @@ def test_chaining_frame_bit_pattern():
 
 
 def test_chaining_hop_count_bounds():
+    # the hop refuses 256 values, so no node can be asked to write them
     with pytest.raises(TooManyChainingValues):
-        encode_chaining_hop([-1] * 256)
+        encode_node(ChainingHop((MessageHop(0, 0),) * 256,
+                                kangaroo_first=False))
+    with pytest.raises(TooManyChainingValues):
+        encode_node(MessageHop(0, 0), [ChainingHop((MessageHop(0, 0),) * 257)])
 
 
 # ---------------------------------------------------------------------------
