@@ -251,7 +251,7 @@ def encode_node(first, chain=(), is_final: bool = False,
             raise GrammarError("chain hops must absorb their first child")
     ids = repeat(-1) if producer_ids is None else iter(producer_ids)
     marker = 1 if is_final else 2
-    tail = marker + 4
+    tail = marker + 4       # the marker, the suffix '11', the pad's two '1's
     if isinstance(first, MessageHop):
         segs = []
         if first.length:

@@ -99,6 +99,7 @@ def test_chaining_hop_lengths():
         node = encode_node(lone)
         assert hop_bits(node) == want
         assert node.segments[-2] == chaining_frame_bits(n_cv)
+        assert {p for _, p in node.cv_positions()} == {-1}  # placeholders
 
 
 def test_chaining_frame_bit_pattern():
