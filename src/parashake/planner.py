@@ -17,11 +17,16 @@ Strategies:
 `plan` and `predict` read one construction choice per (strategy, n);
 'auto' is ternary-min-procs.  All planning is pure integer arithmetic on
 layouts; message bytes are never touched.
+
+One capacity rule (`_own_capacity`, `_kangaroo_caps`) sizes every planned
+hop and builds the subtree catalogue `MODELS` from its 11 (root blocks,
+chaining values) pairs; one greedy filler, `_fill`, lays out every subtree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import MessageTooShortError, NodeCapacityError
 from .sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop, HopTree,
@@ -30,8 +35,51 @@ from .sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop, HopTree,
 STRATEGIES = ("single", "ternary", "ternary-min-procs", "compacted",
               "compacted-relaxed")
 
+
+def _own_capacity(blocks: int, n_cv: int) -> int:
+    """Message bits of an inner node of `blocks` blocks: its message hop
+    and '1', then one chaining hop of `n_cv` values ('1', the values, the
+    33-bit coded count) unless `n_cv` is 0, then the marker '10', the
+    suffix '11' and the pad '11'.  A final hop holds one bit more."""
+    chain = 1 + CV_BITS * n_cv + 33 if n_cv else 0
+    return RATE_BITS * blocks - 1 - chain - 6
+
+
+def _kangaroo_caps(blocks: int, n_cv: int) -> tuple:
+    """A node of `blocks` blocks with one kangaroo hop of `n_cv` values:
+    its own capacity, then for each value that starts in block i (from
+    1) a message-only leaf of i - 1 blocks.  Value m starts two frame
+    bits past `_own_capacity(blocks, n_cv - m)`, which is 23 modulo 64,
+    so in that capacity's last block, in a final node too."""
+    return ((_own_capacity(blocks, n_cv),)
+            + tuple(_own_capacity(_own_capacity(blocks, n_cv - m)
+                                  // RATE_BITS, 0)
+                    for m in range(n_cv)))
+
+
 #: Inner-node message capacity of a one-block message-only node.
-LEAF_CAPACITY = RATE_BITS - 7
+LEAF_CAPACITY = _own_capacity(1, 0)
+
+
+def _fill(offset: int, budget: int, slots, subtree=None):
+    """Greedy fill: each of `slots`, (kind, capacity) pairs, takes what is
+    left of `budget` bits from `offset`, up to its capacity; all slots
+    past the budget but the first are dropped.  Kinds 0 and 1 are message
+    hops, kind m is `subtree(m, offset, bits)`.  Returns the lone child or
+    a kangaroo hop over the children."""
+    children = []
+    used = 0
+    for kind, cap in slots:
+        if children and used == budget:
+            break
+        take = min(cap, budget - used)
+        children.append(MessageHop(offset + used, take) if kind < 2
+                        else subtree(kind, offset + used, take))
+        used += take
+    assert used == budget, "the children hold fewer bits than the budget"
+    if len(children) == 1:
+        return children[0]
+    return ChainingHop(tuple(children), kangaroo_first=True)
 
 
 @dataclass(frozen=True)
@@ -50,19 +98,16 @@ class ModelEntry:
         return self.message_bits + (1 if as_final else 0)
 
 
-MODELS = (
-    ModelEntry(0, 2169, 1, 2, (2169,)),
-    ModelEntry(1, 2704, 2, 2, (1623, 1081)),
-    ModelEntry(2, 3273, 3, 2, (1111, 1081, 1081)),
-    ModelEntry(3, 4880, 2, 3, (2711, 2169)),
-    ModelEntry(4, 6537, 3, 3, (2199, 2169, 2169)),
-    ModelEntry(5, 7106, 4, 3, (1687, 1081, 2169, 2169)),
-    ModelEntry(6, 7675, 5, 3, (1175, 1081, 1081, 2169, 2169)),
-    ModelEntry(7, 11458, 4, 4, (2775, 2169, 3257, 3257)),
-    ModelEntry(8, 13115, 5, 4, (2263, 2169, 2169, 3257, 3257)),
-    ModelEntry(9, 13684, 6, 4, (1751, 1081, 2169, 2169, 3257, 3257)),
-    ModelEntry(10, 14253, 7, 4, (1239, 1081, 1081, 2169, 2169, 3257, 3257)),
-)
+def _catalogue_row(model_id: int, blocks: int, n_cv: int) -> ModelEntry:
+    # one processor per node; the root's last block ends the subtree
+    dist = _kangaroo_caps(blocks, n_cv)
+    return ModelEntry(model_id, sum(dist), len(dist), blocks, dist)
+
+
+#: The catalogue: one row per (root blocks, chaining values) pair.
+MODELS = tuple(_catalogue_row(i, *pair) for i, pair in enumerate(
+    ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4),
+     (4, 3), (4, 4), (4, 5), (4, 6))))
 
 #: Message capacity of the bulk subtree used by the ternary strategy.
 TERNARY_PART_BITS = MODELS[2].message_bits
@@ -129,23 +174,14 @@ def build_model_subtree(model_id: int, offset: int, length: int,
             % (length, model_id, model.capacity(as_final)))
     if length < 0:
         raise ValueError("negative slice")
-    dist = list(model.distribution)
+    return _fill(offset, length, _message_slots(model.distribution, as_final))
+
+
+def _message_slots(caps: tuple, as_final: bool):
+    """`_fill` slots of message hops; a final first one holds a bit more."""
     if as_final:
-        dist[0] += 1
-    first = MessageHop(offset, min(dist[0], length))
-    children = [first]
-    used = first.length
-    off = offset + used
-    for cap in dist[1:]:
-        if used == length:
-            break
-        take = min(cap, length - used)
-        children.append(MessageHop(off, take))
-        off += take
-        used += take
-    if len(children) == 1:
-        return children[0]
-    return ChainingHop(tuple(children), kangaroo_first=True)
+        caps = (caps[0] + 1,) + caps[1:]
+    return zip(repeat(0), caps)
 
 
 def _compose_ternary(part_roots: list) -> tuple:
@@ -184,7 +220,7 @@ def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
     """Cheapest subtree for a trailing part: a single message hop when
     its node fits the part time budget, otherwise the fitting catalogue
     subtree with the fewest nodes (one per child hop), lowest id first."""
-    if remainder <= RATE_BITS * t_budget - 7:
+    if remainder <= _own_capacity(t_budget, 0):
         return MessageHop(offset, remainder)
     fitting = [build_model_subtree(model.id, offset, remainder)
                for model in MODELS[1:]
@@ -249,38 +285,32 @@ def leaf_idle_allowance(parent_blocks: int) -> int:
 
 
 def leaf_idle_slack(parent_blocks: int, slot: int, parent_final: bool) -> int:
-    """Exact stall-free growth bound for leaf child `slot` (0 or 1).
-
-    The leaf's chaining value starts at a fixed bit position inside the
-    parent; the producer must finish strictly before the rate block
-    holding that position is absorbed.  The idle-time rule overshoots
-    this by one block when the position falls within the frame-bit
-    offset of a block boundary.
-    """
-    start = 64 * parent_blocks + (986 if parent_final else 985) + CV_BITS * slot
-    return start // RATE_BITS - 1
-
-
-def _leaf_capacity(parent_blocks: int, slot: int, parent_final: bool,
-                   relaxed: bool) -> int:
-    if not relaxed:
-        return LEAF_CAPACITY
-    gain = min(leaf_idle_allowance(parent_blocks),
-               leaf_idle_slack(parent_blocks, slot, parent_final))
-    return LEAF_CAPACITY + gain * RATE_BITS
+    """Exact stall-free growth bound, in blocks, for leaf child `slot` (0
+    or 1) of a compacted node of `parent_blocks` blocks: the recipe's
+    leaf for that value (`_kangaroo_caps`) less one block, whatever the
+    parent's role.  The idle-time rule overshoots this by one block when
+    the value starts within the frame-bit offset of a block boundary."""
+    leaf = _kangaroo_caps(parent_blocks, 2 * (parent_blocks - 1))[1 + slot]
+    return (leaf - LEAF_CAPACITY) // RATE_BITS
 
 
 def _compacted_children(blocks: int, caps: list, relaxed: bool,
                         is_final: bool) -> list:
     """Canonical child order of a compacted subtree whose root node spans
     `blocks` blocks, as (kind, message capacity) pairs: the node's own
-    message hop (kind 0; 1088*i - 2*(i-1)*512 - 41 bits for one chaining
-    hop with 2(i-1) values, one more as final), the two leaf children
-    (kind 1), then two subtrees per lower level (kind = their root's
-    blocks).  The subtree holds the sum of the capacities."""
-    return ([(0, 64 * blocks + (984 if is_final else 983))]
-            + [(1, _leaf_capacity(blocks, slot, is_final, relaxed))
-               for slot in (0, 1)]
+    message hop (kind 0; its one chaining hop holds 2(blocks-1) values),
+    the two leaf children (kind 1), then two subtrees per lower level
+    (kind = their root's blocks).  Relaxed leaves grow by the idle-time
+    allowance, at most by their slack.  The subtree holds the sum of the
+    capacities."""
+    leaves = [LEAF_CAPACITY] * 2
+    grow = leaf_idle_allowance(blocks) if relaxed else 0
+    if grow:
+        leaves = [LEAF_CAPACITY + RATE_BITS
+                  * min(grow, leaf_idle_slack(blocks, slot, is_final))
+                  for slot in (0, 1)]
+    return ([(0, _own_capacity(blocks, 2 * (blocks - 1)) + is_final)]
+            + [(1, leaf) for leaf in leaves]
             + [(m, caps[m]) for m in range(2, blocks) for _ in range(2)])
 
 
@@ -299,32 +329,16 @@ def compacted_capacity(j: int, relaxed: bool = False) -> int:
     (final node of j+1 blocks).  Unrelaxed this is 3**(j-1)*3305 - 31."""
     if j < 1:
         raise ValueError("height parameter must be at least 1")
-    caps = _compacted_caps(j, relaxed)
-    return sum(cap for _, cap in
-               _compacted_children(j + 1, caps, relaxed, True))
+    return _compacted_caps(j + 1, relaxed)[-1] + 1  # a final hop's extra bit
 
 
 def _build_compacted_subtree(blocks: int, offset: int, budget: int,
                              caps: list, relaxed: bool, is_final: bool):
-    """Greedy prefix fill of the canonical child order of
-    `_compacted_children`.  Returns (hop, bits used)."""
-    children = []
-    used = 0
-    for m, cap in _compacted_children(blocks, caps, relaxed, is_final):
-        if used == budget:
-            break
-        grab = min(cap, budget - used)
-        if m < 2:
-            children.append(MessageHop(offset + used, grab))
-        else:
-            child, got = _build_compacted_subtree(m, offset + used, grab,
-                                                  caps, relaxed, False)
-            assert got == grab
-            children.append(child)
-        used += grab
-    if len(children) == 1:
-        return children[0], used
-    return ChainingHop(tuple(children), kangaroo_first=True), used
+    """`_fill` over the canonical child order of `_compacted_children`."""
+    return _fill(offset, budget,
+                 _compacted_children(blocks, caps, relaxed, is_final),
+                 lambda m, at, bits: _build_compacted_subtree(
+                     m, at, bits, caps, relaxed, False))
 
 
 def _build_compacted(n: int, relaxed: bool) -> tuple:
@@ -333,11 +347,8 @@ def _build_compacted(n: int, relaxed: bool) -> tuple:
     j = 1
     while compacted_capacity(j, relaxed) < n:
         j += 1
-    root, used = _build_compacted_subtree(j + 1, 0, n,
-                                          _compacted_caps(j, relaxed),
-                                          relaxed, True)
-    assert used == n
-    return root, j
+    return _build_compacted_subtree(j + 1, 0, n, _compacted_caps(j, relaxed),
+                                    relaxed, True), j
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +359,17 @@ def max_single_kangaroo(k: int, offset: int = 0,
     """Maximize message bits through one kangaroo hop in a node of k
     blocks.
 
-    Chaining values pack the tail of the node; a value whose bits start
-    in block chunk i is produced by a message-only node of (i-1) blocks
-    carrying (i-1)*1088 - 7 message bits.  Returns (root hop, total
+    Chaining values pack the tail of the node, as many as start past its
+    first block (at most MAX_CVS); each comes from the full message-only
+    leaf `_kangaroo_caps` puts behind it.  Returns (root hop, total
     message bits)."""
     if k < 2:
         raise ValueError("the node must span at least 2 blocks")
-    tail = 38 if as_final else 39
-    n_cv = min(MAX_CVS, ((k - 1) * RATE_BITS - tail) // CV_BITS)
-    msg = k * RATE_BITS - tail - CV_BITS * n_cv - 2
-    children = [MessageHop(offset, msg)]
-    total = msg
-    off = offset + msg
-    for m in range(n_cv):
-        start = k * RATE_BITS - tail - CV_BITS * (n_cv - m)
-        chunk = start // RATE_BITS + 1
-        leaf = (chunk - 1) * RATE_BITS - 7
-        children.append(MessageHop(off, leaf))
-        off += leaf
-        total += leaf
-    return ChainingHop(tuple(children), kangaroo_first=True), total
+    # each value past the first takes CV_BITS from the node's own message
+    n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
+    caps = _kangaroo_caps(k, n_cv)
+    total = sum(caps) + as_final
+    return _fill(offset, total, _message_slots(caps, as_final)), total
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +388,8 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
     composition instead of `select_model`."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    lone = ((max(1, _ceil_div(n + 6, RATE_BITS)), 1),
+    # a final message-only node: one block, one more per RATE_BITS bits
+    lone = ((1 + max(0, _ceil_div(n - LEAF_CAPACITY - 1, RATE_BITS)), 1),
             lambda: (MessageHop(0, n), 0))
     small = (next(m for m in MODELS if n <= m.capacity(True))
              if n < SELECT_MODEL_MIN_BITS else None)
