@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
                      SliceRangeError, TooManyChainingValues)
@@ -239,9 +238,10 @@ def encode_node(first, chain=(), is_final: bool = False,
 
     `first` is the node's first hop (message or chaining hop); `chain`
     holds the subsequent chaining hops, outermost last.  `producer_ids`
-    supplies node ids for every chaining-value slot in order (defaults
-    to placeholders).  Each hop flagged `aligned` is packed flush against
-    the end of a fresh rate block.
+    supplies one node id for every chaining-value slot, in order; None
+    gives placeholders, and any other count raises `GrammarError`.  Each
+    hop flagged `aligned` is packed flush against the end of a fresh rate
+    block.
     """
     hops = list(chain)
     for hop in hops:
@@ -249,7 +249,6 @@ def encode_node(first, chain=(), is_final: bool = False,
             raise GrammarError("only chaining hops may extend a node")
         if not hop.kangaroo_first:
             raise GrammarError("chain hops must absorb their first child")
-    ids = repeat(-1) if producer_ids is None else iter(producer_ids)
     marker = 1 if is_final else 2
     tail = marker + 4       # the marker, the suffix '11', the pad's two '1's
     if isinstance(first, MessageHop):
@@ -265,6 +264,12 @@ def encode_node(first, chain=(), is_final: bool = False,
     else:
         segs, pos = [], 0
         hops.insert(0, first)
+    slots = sum(hop.n_cv for hop in hops)
+    ids = [-1] * slots if producer_ids is None else list(producer_ids)
+    if len(ids) != slots:
+        raise GrammarError("%d producer ids for %d chaining-value slots"
+                           % (len(ids), slots))
+    ids = iter(ids)
     for i, hop in enumerate(hops):
         frame = chaining_frame_bits(hop.n_cv)
         size = hop.n_cv * CV_BITS + frame.length
@@ -295,32 +300,29 @@ def map_hop_tree_to_node_tree(tree: HopTree,
     reaching past `tree.message_bits` raises `SliceRangeError`.
     """
     nodes = []
-
-    def build(anchor, is_final: bool) -> int:
-        chain_rev = [anchor]
-        cur = anchor
-        while isinstance(cur, ChainingHop) and cur.kangaroo_first:
-            cur = cur.children[0]
-            chain_rev.append(cur)
-        hops = chain_rev[::-1]          # first hop ... anchor
-        if (isinstance(cur, MessageHop)
-                and cur.offset + cur.length > tree.message_bits):
-            raise SliceRangeError("message slice beyond message end")
-        producer_ids = []
-        for hop in hops:
-            if isinstance(hop, ChainingHop):
-                for child in hop.cv_children:
-                    producer_ids.append(build(child, False))
-        layout = encode_node(hops[0], hops[1:], is_final,
-                             producer_ids=producer_ids)
-        nodes.append(layout)
-        return len(nodes) - 1
-
-    build(tree.root, root_final)
-    # `build` holds itself in its closure: break that cycle, or it keeps
-    # the hop tree and the node list alive until the garbage collector runs
-    del build
+    _map_chain(tree.root, root_final, tree.message_bits, nodes)
     return NodeTree(tuple(nodes), tree.message_bits)
+
+
+def _map_chain(anchor, is_final: bool, message_bits: int, nodes: list) -> int:
+    """Append the node of the chain ending at `anchor`; return its id."""
+    chain_rev = [anchor]
+    cur = anchor
+    while isinstance(cur, ChainingHop) and cur.kangaroo_first:
+        cur = cur.children[0]
+        chain_rev.append(cur)
+    hops = chain_rev[::-1]              # first hop ... anchor
+    if isinstance(cur, MessageHop) and cur.offset + cur.length > message_bits:
+        raise SliceRangeError("message slice beyond message end")
+    producer_ids = []
+    for hop in hops:
+        if isinstance(hop, ChainingHop):
+            for child in hop.cv_children:
+                producer_ids.append(_map_chain(child, False, message_bits,
+                                               nodes))
+    nodes.append(encode_node(hops[0], hops[1:], is_final,
+                             producer_ids=producer_ids))
+    return len(nodes) - 1
 
 
 # ---------------------------------------------------------------------------

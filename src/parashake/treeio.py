@@ -71,29 +71,30 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
         by_index[tuple(index)] = row
     if () not in by_index:
         raise GrammarError("plan document has no final hop")
-
-    def build(index):
-        row = by_index[index]
-        if row["kind"] == "message":
-            return MessageHop(_field(row, "offset_bits", int),
-                              _field(row, "length_bits", int))
-        if row["kind"] != "chaining":
-            raise GrammarError("unknown hop kind %r" % row["kind"])
-        children = []
-        for i in range(_field(row, "child_count", int)):
-            child_index = index + (i,)
-            if child_index not in by_index:
-                raise GrammarError("hop %r is missing child %d" % (index, i))
-            children.append(build(child_index))
-        return ChainingHop(
-            tuple(children),
-            kangaroo_first=_field(row, "kangaroo_first_child", bool),
-            aligned=_field(row, "aligned", bool))
-
-    tree = HopTree(build(()), message_bits)
+    tree = HopTree(_hop_from_json(by_index, ()), message_bits)
     if len(rows) != sum(1 for _ in iter_hops(tree)):
         raise GrammarError("plan document has unreachable hops")
     return tree
+
+
+def _hop_from_json(by_index: dict, index: tuple):
+    """The hop at `index` of the rows `by_index`, with its subtree."""
+    row = by_index[index]
+    if row["kind"] == "message":
+        return MessageHop(_field(row, "offset_bits", int),
+                          _field(row, "length_bits", int))
+    if row["kind"] != "chaining":
+        raise GrammarError("unknown hop kind %r" % row["kind"])
+    children = []
+    for i in range(_field(row, "child_count", int)):
+        child_index = index + (i,)
+        if child_index not in by_index:
+            raise GrammarError("hop %r is missing child %d" % (index, i))
+        children.append(_hop_from_json(by_index, child_index))
+    return ChainingHop(
+        tuple(children),
+        kangaroo_first=_field(row, "kangaroo_first_child", bool),
+        aligned=_field(row, "aligned", bool))
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,12 @@ def test_encode_rejects_bad_chains():
     # a chain hop must absorb its first child
     with pytest.raises(GrammarError):
         encode_node(MessageHop(0, 10), [lone])
+    # one producer id per chaining-value slot, no fewer and no more
+    pair = ChainingHop((MessageHop(0, 0),) * 2, kangaroo_first=False)
+    for ids in ([7], [7, 8, 9]):
+        with pytest.raises(GrammarError, match="for 2 chaining-value slots"):
+            encode_node(pair, producer_ids=ids)
+    assert [p for _, p in encode_node(pair).cv_positions()] == [-1, -1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Wire formats: canonical dumps, lossless loads, defect detection."""
 
+import gc
 import json
 
 import pytest
 
 from parashake import planner, scheduler, treeio
 from parashake.errors import GrammarError
+from parashake.sakura import map_hop_tree_to_node_tree
 
 
 def test_plan_roundtrip_is_byte_identical():
@@ -97,3 +99,21 @@ def test_vector_loader():
         treeio.load_vectors('[{"message_hex": "", ')
     with pytest.raises(GrammarError):
         treeio.load_vectors('not json')
+
+
+@pytest.mark.parametrize("strategy, n", (("ternary", 29457),
+                                         ("compacted", 10**5)))
+def test_planning_and_loading_leave_no_reference_cycles(strategy, n):
+    # with the collector off, whatever the calls leave unreachable stays
+    # until gc.collect(), which reports how much it freed
+    text = treeio.dump_plan(planner.plan(strategy, n))
+    gc.collect()
+    gc.disable()
+    try:
+        plan = planner.plan(strategy, n)
+        map_hop_tree_to_node_tree(plan.hop_tree)
+        treeio.load_plan(text)
+        del plan
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
