@@ -365,7 +365,7 @@ def max_single_kangaroo(k: int, offset: int = 0,
     message bits)."""
     if k < 2:
         raise ValueError("the node must span at least 2 blocks")
-    # each value past the first takes CV_BITS from the node's own message
+    # the most values with own(k, n) = own(k, 1) - CV_BITS*(n-1) >= RATE_BITS
     n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
     caps = _kangaroo_caps(k, n_cv)
     total = sum(caps) + as_final
@@ -388,7 +388,8 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
     composition instead of `select_model`."""
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % strategy)
-    # a final message-only node: one block, one more per RATE_BITS bits
+    # a final message-only node: one block holds LEAF_CAPACITY + 1 bits,
+    # and each further block RATE_BITS more
     lone = ((1 + max(0, _ceil_div(n - LEAF_CAPACITY - 1, RATE_BITS)), 1),
             lambda: (MessageHop(0, n), 0))
     small = (next(m for m in MODELS if n <= m.capacity(True))

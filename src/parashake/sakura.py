@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice, repeat
 
 from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
                      SliceRangeError, TooManyChainingValues)
@@ -238,7 +239,7 @@ def encode_node(first, chain=(), is_final: bool = False,
 
     `first` is the node's first hop (message or chaining hop); `chain`
     holds the subsequent chaining hops, outermost last.  `producer_ids`
-    supplies one node id for every chaining-value slot, in order; None
+    is a sequence of one node id per chaining-value slot, in order; None
     gives placeholders, and any other count raises `GrammarError`.  Each
     hop flagged `aligned` is packed flush against the end of a fresh rate
     block.
@@ -264,12 +265,8 @@ def encode_node(first, chain=(), is_final: bool = False,
     else:
         segs, pos = [], 0
         hops.insert(0, first)
-    slots = sum(hop.n_cv for hop in hops)
-    ids = [-1] * slots if producer_ids is None else list(producer_ids)
-    if len(ids) != slots:
-        raise GrammarError("%d producer ids for %d chaining-value slots"
-                           % (len(ids), slots))
-    ids = iter(ids)
+    ids = repeat(-1) if producer_ids is None else iter(producer_ids)
+    slots = 0
     for i, hop in enumerate(hops):
         frame = chaining_frame_bits(hop.n_cv)
         size = hop.n_cv * CV_BITS + frame.length
@@ -280,9 +277,13 @@ def encode_node(first, chain=(), is_final: bool = False,
                 zeros = -end % RATE_BITS
             segs.append(FrameBits(1, 1 + zeros))
             pos += 1 + zeros
-        segs += [CVSlot(next(ids)) for _ in range(hop.n_cv)]
+        segs += map(CVSlot, islice(ids, hop.n_cv))
+        slots += hop.n_cv
         segs.append(frame)
         pos += size
+    if producer_ids is not None and len(producer_ids) != slots:
+        raise GrammarError("%d producer ids for %d chaining-value slots"
+                           % (len(producer_ids), slots))
     z = -(pos + tail) % RATE_BITS
     segs.append(FrameBits(1 | 0b111 << marker | 1 << marker + 3 + z, tail + z))
     return NodeLayout(tuple(segs), is_final)
