@@ -365,7 +365,7 @@ def max_single_kangaroo(k: int, offset: int = 0,
     message bits)."""
     if k < 2:
         raise ValueError("the node must span at least 2 blocks")
-    # the most values with own(k, n) = own(k, 1) - CV_BITS*(n-1) >= RATE_BITS
+    # most values with _own_capacity(k, n) >= RATE_BITS, CV_BITS per value
     n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
     caps = _kangaroo_caps(k, n_cv)
     total = sum(caps) + as_final
