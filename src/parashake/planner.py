@@ -26,7 +26,6 @@ chaining values) pairs; one greedy filler, `_fill`, lays out every subtree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import MessageTooShortError, NodeCapacityError
 from .sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop, HopTree,
@@ -98,16 +97,13 @@ class ModelEntry:
         return self.message_bits + (1 if as_final else 0)
 
 
-def _catalogue_row(model_id: int, blocks: int, n_cv: int) -> ModelEntry:
-    # one processor per node; the root's last block ends the subtree
-    dist = _kangaroo_caps(blocks, n_cv)
-    return ModelEntry(model_id, sum(dist), len(dist), blocks, dist)
-
-
-#: The catalogue: one row per (root blocks, chaining values) pair.
-MODELS = tuple(_catalogue_row(i, *pair) for i, pair in enumerate(
-    ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4),
-     (4, 3), (4, 4), (4, 5), (4, 6))))
+#: The catalogue: one row per (root blocks, chaining values) pair, with
+#: one processor per node; the root's last block ends the subtree.
+MODELS = tuple(ModelEntry(i, sum(dist), len(dist), blocks, dist)
+               for i, (blocks, dist) in enumerate(
+                   (blocks, _kangaroo_caps(blocks, n_cv)) for blocks, n_cv in
+                   ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (3, 4),
+                    (4, 3), (4, 4), (4, 5), (4, 6))))
 
 #: Message capacity of the bulk subtree used by the ternary strategy.
 TERNARY_PART_BITS = MODELS[2].message_bits
@@ -179,9 +175,7 @@ def build_model_subtree(model_id: int, offset: int, length: int,
 
 def _message_slots(caps: tuple, as_final: bool):
     """`_fill` slots of message hops; a final first one holds a bit more."""
-    if as_final:
-        caps = (caps[0] + 1,) + caps[1:]
-    return zip(repeat(0), caps)
+    return [(0, caps[0] + as_final)] + [(0, cap) for cap in caps[1:]]
 
 
 def _compose_ternary(part_roots: list) -> tuple:
@@ -286,12 +280,13 @@ def leaf_idle_allowance(parent_blocks: int) -> int:
 
 def leaf_idle_slack(parent_blocks: int, slot: int, parent_final: bool) -> int:
     """Exact stall-free growth bound, in blocks, for leaf child `slot` (0
-    or 1) of a compacted node of `parent_blocks` blocks: the recipe's
-    leaf for that value (`_kangaroo_caps`) less one block, whatever the
-    parent's role.  The idle-time rule overshoots this by one block when
-    the value starts within the frame-bit offset of a block boundary."""
-    leaf = _kangaroo_caps(parent_blocks, 2 * (parent_blocks - 1))[1 + slot]
-    return (leaf - LEAF_CAPACITY) // RATE_BITS
+    or 1) of a compacted node of `parent_blocks` blocks, whatever the
+    parent's role: the recipe's leaf for that value (`_kangaroo_caps`)
+    spans the blocks before the one the value starts in, less one block.
+    The idle-time rule overshoots this by one block when the value starts
+    within the frame-bit offset of a block boundary."""
+    return _own_capacity(parent_blocks,
+                         2 * (parent_blocks - 1) - slot) // RATE_BITS - 1
 
 
 def _compacted_children(blocks: int, caps: list, relaxed: bool,
@@ -307,7 +302,7 @@ def _compacted_children(blocks: int, caps: list, relaxed: bool,
     grow = leaf_idle_allowance(blocks) if relaxed else 0
     if grow:
         leaves = [LEAF_CAPACITY + RATE_BITS
-                  * min(grow, leaf_idle_slack(blocks, slot, is_final))
+                  * min(grow, leaf_idle_slack(blocks, slot, False))
                   for slot in (0, 1)]
     return ([(0, _own_capacity(blocks, 2 * (blocks - 1)) + is_final)]
             + [(1, leaf) for leaf in leaves]
