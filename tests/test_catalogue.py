@@ -1,18 +1,21 @@
 """The subtree catalogue and the subtree builders, pinned by value.
 
 Every `MODELS` row must match `selftest.SUBTREE_TABLE` and the paper's
-child distributions written out below.  One SHA-256 covers the `repr` of
-`build_model_subtree(m, 5, L, final)` for every model, both roles and
-every slice length L up to the model's capacity, and of
-`max_single_kangaroo(k, 3, final)` for k = 2..130 (the chaining-value
-count reaches MAX_CVS at k = 122), so any change to a hop these builders
-lay out shows.
+child distributions written out below.  One SHA-256 covers the hop rows,
+as a plan document writes them, of `build_model_subtree(m, 0, L, final)`
+for every model, both roles and every slice length L up to the model's
+capacity, and of `max_single_kangaroo(k, 0, final)` with its total for
+k = 2..130 (the chaining-value count reaches MAX_CVS at k = 122), so any
+change to a hop these builders lay out shows.  Each message hop must
+start where the ones before it in stream order end.
 """
 
 import hashlib
+import json
 
-from parashake import selftest
+from parashake import selftest, treeio
 from parashake.planner import MODELS, build_model_subtree, max_single_kangaroo
+from parashake.sakura import HopTree
 
 # (message bits of each child hop, the first absorbed into the root node)
 DISTRIBUTIONS = (
@@ -30,7 +33,7 @@ DISTRIBUTIONS = (
 )
 
 BUILDERS_SHA256 = (
-    "e3b90c0de892f6e9faac650b72c2acc714808436801d1edb9dd733b4958eeff7")
+    "455bd00eb3313f7d2e5f703fa7aef2c9d8d4e4734133561be2f770503fc7ef74")
 
 
 def test_models_are_the_papers_table():
@@ -42,15 +45,30 @@ def test_models_are_the_papers_table():
         assert model.distribution == dist
 
 
+def _rows(hop, length: int) -> bytes:
+    """The plan-document rows of the hop tree rooted at `hop` over
+    `length` bits, after checking that its message hops read the message
+    in stream order."""
+    rows = treeio._hops_to_json(HopTree(hop, length))
+    at = 0
+    for row in rows:
+        if row["kind"] == "message":
+            assert row["offset_bits"] == at, row
+            at += row["length_bits"]
+    assert at == length
+    return json.dumps(rows, sort_keys=True).encode()
+
+
 def builders_digest() -> str:
     h = hashlib.sha256()
     for final in (False, True):
         for model in MODELS:
             for length in range(model.capacity(final) + 1):
-                hop = build_model_subtree(model.id, 5, length, final)
-                h.update(repr(hop).encode())
+                hop = build_model_subtree(model.id, 0, length, final)
+                h.update(_rows(hop, length))
         for k in range(2, 131):
-            h.update(repr(max_single_kangaroo(k, 3, final)).encode())
+            hop, total = max_single_kangaroo(k, 0, final)
+            h.update(_rows(hop, total) + b"%d" % total)
     return h.hexdigest()
 
 
