@@ -333,13 +333,3 @@ def _absorb_scalar(state: bytearray, data: bytes, rate_bytes: int) -> None:
             lanes[i] ^= w
         _f1600(lanes)
     _STATE.pack_into(state, 0, *lanes)
-
-
-def keccak_f(lanes) -> list:
-    """24-round Keccak-f[1600] on 25 unsigned 64-bit lanes (x + 5*y order).
-
-    Pure function: returns a new list, the input is unchanged.
-    """
-    buf = bytearray(_STATE.pack(*lanes))
-    permute(buf)
-    return list(_STATE.unpack(buf))

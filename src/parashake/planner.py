@@ -60,20 +60,19 @@ def _kangaroo_caps(blocks: int, n_cv: int) -> tuple:
 LEAF_CAPACITY = _own_capacity(1, 0)
 
 
-def _fill(offset: int, budget: int, slots, subtree=None):
+def _fill(budget: int, slots, subtree=None):
     """Greedy fill: each of `slots`, (kind, capacity) pairs, takes what is
-    left of `budget` bits from `offset`, up to its capacity; all slots
-    past the budget but the first are dropped.  Kinds 0 and 1 are message
-    hops, kind m is `subtree(m, offset, bits)`.  Returns the lone child or
-    a kangaroo hop over the children."""
+    left of `budget` bits, up to its capacity; all slots past the budget
+    but the first are dropped.  Kinds 0 and 1 are message hops, kind m is
+    `subtree(m, bits)`.  Returns the lone child or a kangaroo hop over the
+    children."""
     children = []
     used = 0
     for kind, cap in slots:
         if children and used == budget:
             break
         take = min(cap, budget - used)
-        children.append(MessageHop(offset + used, take) if kind < 2
-                        else subtree(kind, offset + used, take))
+        children.append(MessageHop(take) if kind < 2 else subtree(kind, take))
         used += take
     assert used == budget, "the children hold fewer bits than the budget"
     if len(children) == 1:
@@ -156,8 +155,7 @@ def ceil_log3_ratio(num: int, den: int = 1) -> int:
 # ---------------------------------------------------------------------------
 # Subtree catalogue
 
-def build_model_subtree(model_id: int, offset: int, length: int,
-                        as_final: bool = False):
+def build_model_subtree(model_id: int, length: int, as_final: bool = False):
     """Instantiate one catalogue subtree over `length` message bits.
 
     Short slices shrink the last child hops first, dropping empty ones,
@@ -170,7 +168,7 @@ def build_model_subtree(model_id: int, offset: int, length: int,
             % (length, model_id, model.capacity(as_final)))
     if length < 0:
         raise ValueError("negative slice")
-    return _fill(offset, length, _message_slots(model.distribution, as_final))
+    return _fill(length, _message_slots(model.distribution, as_final))
 
 
 def _message_slots(caps: tuple, as_final: bool):
@@ -183,18 +181,21 @@ def _compose_ternary(part_roots: list) -> tuple:
 
     Groups of three (the trailing group may be smaller) gain one
     rate-aligned kangaroo hop on the first member's node; singleton
-    groups pass through.  Returns (root hop, height)."""
+    groups pass through.  A group equal to the one before it reuses its
+    hop.  Returns (root hop, height)."""
     hops = part_roots
     height = 0
     while len(hops) > 1:
         nxt = []
+        hop = None
         for i in range(0, len(hops), 3):
-            group = hops[i:i + 3]
+            group = tuple(hops[i:i + 3])
             if len(group) == 1:
                 nxt.append(group[0])
-            else:
-                nxt.append(ChainingHop(tuple(group), kangaroo_first=True,
-                                       aligned=True))
+                continue
+            if hop is None or hop.children != group:
+                hop = ChainingHop(group, kangaroo_first=True, aligned=True)
+            nxt.append(hop)
         hops = nxt
         height += 1
     return hops[0], height
@@ -210,13 +211,13 @@ def _composed_prediction(n: int, model: ModelEntry) -> tuple:
     return ceil_log3_ratio(parts) + model.time_units, parts * model.processors
 
 
-def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
+def _encapsulate_remainder(remainder: int, t_budget: int):
     """Cheapest subtree for a trailing part: a single message hop when
     its node fits the part time budget, otherwise the fitting catalogue
     subtree with the fewest nodes (one per child hop), lowest id first."""
     if remainder <= _own_capacity(t_budget, 0):
-        return MessageHop(offset, remainder)
-    fitting = [build_model_subtree(model.id, offset, remainder)
+        return MessageHop(remainder)
+    fitting = [build_model_subtree(model.id, remainder)
                for model in MODELS[1:]
                if model.time_units <= t_budget
                and model.message_bits >= remainder]
@@ -228,15 +229,14 @@ def _encapsulate_remainder(offset: int, remainder: int, t_budget: int):
 def _build_composed(n: int, model: ModelEntry) -> tuple:
     """Parts of one catalogue model under the ternary composition; the
     last part is encapsulated within the model's time budget.  Returns
-    (root hop, height)."""
+    (root hop, height).  The full parts are one object."""
     parts = _ceil_div(n, model.message_bits)
     if parts == 1:
-        return build_model_subtree(model.id, 0, n, as_final=True), 0
-    roots = [build_model_subtree(model.id, i * model.message_bits,
-                                 model.message_bits)
-             for i in range(parts - 1)]
-    offset = (parts - 1) * model.message_bits
-    roots.append(_encapsulate_remainder(offset, n - offset, model.time_units))
+        return build_model_subtree(model.id, n, as_final=True), 0
+    full = model.message_bits
+    roots = [build_model_subtree(model.id, full)] * (parts - 1)
+    roots.append(_encapsulate_remainder(n - (parts - 1) * full,
+                                        model.time_units))
     return _compose_ternary(roots)
 
 
@@ -278,7 +278,7 @@ def leaf_idle_allowance(parent_blocks: int) -> int:
     return 64 * (parent_blocks - 1) // RATE_BITS
 
 
-def leaf_idle_slack(parent_blocks: int, slot: int, parent_final: bool) -> int:
+def leaf_idle_slack(parent_blocks: int, slot: int) -> int:
     """Exact stall-free growth bound, in blocks, for leaf child `slot` (0
     or 1) of a compacted node of `parent_blocks` blocks, whatever the
     parent's role: the recipe's leaf for that value (`_kangaroo_caps`)
@@ -302,7 +302,7 @@ def _compacted_children(blocks: int, caps: list, relaxed: bool,
     grow = leaf_idle_allowance(blocks) if relaxed else 0
     if grow:
         leaves = [LEAF_CAPACITY + RATE_BITS
-                  * min(grow, leaf_idle_slack(blocks, slot, False))
+                  * min(grow, leaf_idle_slack(blocks, slot))
                   for slot in (0, 1)]
     return ([(0, _own_capacity(blocks, 2 * (blocks - 1)) + is_final)]
             + [(1, leaf) for leaf in leaves]
@@ -327,13 +327,17 @@ def compacted_capacity(j: int, relaxed: bool = False) -> int:
     return _compacted_caps(j + 1, relaxed)[-1] + 1  # a final hop's extra bit
 
 
-def _build_compacted_subtree(blocks: int, offset: int, budget: int,
-                             caps: list, relaxed: bool, is_final: bool):
-    """`_fill` over the canonical child order of `_compacted_children`."""
-    return _fill(offset, budget,
-                 _compacted_children(blocks, caps, relaxed, is_final),
-                 lambda m, at, bits: _build_compacted_subtree(
-                     m, at, bits, caps, relaxed, False))
+def _build_compacted_subtree(blocks: int, budget: int, caps: list,
+                             relaxed: bool, built: dict, is_final=False):
+    """`_fill` over the canonical child order of `_compacted_children`, once
+    per (blocks, budget): `built` maps each pair to its one subtree."""
+    key = (blocks, budget)
+    if key not in built:
+        built[key] = _fill(
+            budget, _compacted_children(blocks, caps, relaxed, is_final),
+            lambda m, bits: _build_compacted_subtree(m, bits, caps, relaxed,
+                                                     built))
+    return built[key]
 
 
 def _build_compacted(n: int, relaxed: bool) -> tuple:
@@ -342,15 +346,14 @@ def _build_compacted(n: int, relaxed: bool) -> tuple:
     j = 1
     while compacted_capacity(j, relaxed) < n:
         j += 1
-    return _build_compacted_subtree(j + 1, 0, n, _compacted_caps(j, relaxed),
-                                    relaxed, True), j
+    return _build_compacted_subtree(j + 1, n, _compacted_caps(j, relaxed),
+                                    relaxed, {}, is_final=True), j
 
 
 # ---------------------------------------------------------------------------
 # single-hop maximization recipe
 
-def max_single_kangaroo(k: int, offset: int = 0,
-                        as_final: bool = False) -> tuple:
+def max_single_kangaroo(k: int, as_final: bool = False) -> tuple:
     """Maximize message bits through one kangaroo hop in a node of k
     blocks.
 
@@ -364,7 +367,7 @@ def max_single_kangaroo(k: int, offset: int = 0,
     n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
     caps = _kangaroo_caps(k, n_cv)
     total = sum(caps) + as_final
-    return _fill(offset, total, _message_slots(caps, as_final)), total
+    return _fill(total, _message_slots(caps, as_final)), total
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
     # a final message-only node: one block holds LEAF_CAPACITY + 1 bits,
     # and each further block RATE_BITS more
     lone = ((1 + max(0, _ceil_div(n - LEAF_CAPACITY - 1, RATE_BITS)), 1),
-            lambda: (MessageHop(0, n), 0))
+            lambda: (MessageHop(n), 0))
     small = (next(m for m in MODELS if n <= m.capacity(True))
              if n < SELECT_MODEL_MIN_BITS else None)
     if strategy == "single":
@@ -403,7 +406,7 @@ def _choose(strategy: str, n: int, model_id: int | None = None) -> tuple:
         return ("ternary", 0) + lone
     if small is not None:
         return ("ternary", small.id, (small.time_units, small.processors),
-                lambda: (build_model_subtree(small.id, 0, n, True), 0))
+                lambda: (build_model_subtree(small.id, n, True), 0))
     if model_id is None:
         model_id = 2 if strategy == "ternary" else select_model(n)
     model = MODELS[model_id]
@@ -415,7 +418,7 @@ def _finish(n: int, strategy: str, model_id, prediction: tuple,
             build) -> Plan:
     """Build the chosen hop tree, map it to nodes and report on it."""
     root, height = build()
-    tree = HopTree(root, n)
+    tree = HopTree(root)
     node_tree = map_hop_tree_to_node_tree(tree)
     report = PlanReport(strategy, model_id, n, *prediction, height,
                         node_tree.node_count)

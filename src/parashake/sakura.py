@@ -1,4 +1,4 @@
-"""Sakura tree coding: hops, nodes, frame bits and size formulas.
+"""Sakura tree coding: hops, nodes, frame bits, the mapping, grammar.
 
 A hop is a logical unit (message bits or chaining values); a node is a
 fully framed f-input.  Kangaroo hopping encodes a hop followed by
@@ -51,13 +51,16 @@ def chaining_frame_bits(n_cv: int) -> "FrameBits":
 
 @dataclass(frozen=True)
 class MessageHop:
-    """A slice of the global message: offset and length in bits."""
-    offset: int
+    """`length` bits of the message, from where the hops before it end."""
     length: int
 
     def __post_init__(self):
-        if self.offset < 0 or self.length < 0:
+        if self.length < 0:
             raise SliceRangeError("negative message slice")
+
+    @property
+    def message_bits(self) -> int:
+        return self.length
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,12 @@ class ChainingHop:
     encoded into the same node as this hop; all remaining children
     contribute 512-bit chaining values.  `aligned` nodes place the hop in
     its own rate block (used by composition layers, never by the first
-    hop of a node).
+    hop of a node).  `message_bits` is the sum over the children.
     """
     children: tuple
     kangaroo_first: bool = True
     aligned: bool = False
+    message_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_cv = self.n_cv
@@ -80,6 +84,8 @@ class ChainingHop:
             raise GrammarError("chaining hop needs at least one chaining value")
         if n_cv > MAX_CVS:
             raise TooManyChainingValues("chaining hop must hold 1..255 values")
+        object.__setattr__(self, "message_bits",
+                           sum(c.message_bits for c in self.children))
 
     @property
     def cv_children(self) -> tuple:
@@ -92,9 +98,12 @@ class ChainingHop:
 
 @dataclass(frozen=True)
 class HopTree:
-    """A hop tree; the root is the final hop."""
+    """A hop tree; the root is the final hop.  Equal subtrees may share."""
     root: object
-    message_bits: int
+
+    @property
+    def message_bits(self) -> int:
+        return self.root.message_bits
 
 
 def iter_hops(tree: HopTree):
@@ -200,49 +209,18 @@ class NodeTree:
 
 
 # ---------------------------------------------------------------------------
-# Size formulas
-
-def node_bit_cost(role: str, kind: str, l: int = 0, n_cv: int = 0) -> int:
-    """Sakura-coded node size, excluding the 4 suffix/pad bits.
-
-    role is 'inner' or 'final'; kind is 'message_only', 'chaining_only'
-    or 'kangaroo'.  For kinds with a chaining hop the size is
-    l [+2] + n_cv*512 + (floor(log256(n_cv)) + 1)*8 + 27 (inner) or
-    + 26 (final); a lone message hop costs l+3 / l+2.
-    """
-    if role not in ("inner", "final"):
-        raise ValueError("role must be inner or final")
-    marker = 3 if role == "inner" else 2
-    if kind == "message_only":
-        if l < 0:
-            raise ValueError("negative message length")
-        return l + marker
-    if kind not in ("chaining_only", "kangaroo"):
-        raise ValueError("unknown node kind %r" % kind)
-    if n_cv < 1:
-        raise ValueError("chaining hop needs at least one value")
-    if n_cv > MAX_CVS:
-        raise TooManyChainingValues("chaining hop must hold 1..255 values")
-    count_bytes = (n_cv.bit_length() - 1) // 8 + 2
-    chain = n_cv * CV_BITS + 8 * count_bytes + 16 + 1
-    if kind == "chaining_only":
-        return chain + marker - 1
-    return l + 2 + chain + marker - 1
-
-
-# ---------------------------------------------------------------------------
 # Node encoding
 
 def encode_node(first, chain=(), is_final: bool = False,
-                producer_ids=None) -> NodeLayout:
+                producer_ids=None, offset: int = 0) -> NodeLayout:
     """Lay out one node from a kangaroo chain, in stream order.
 
-    `first` is the node's first hop (message or chaining hop); `chain`
-    holds the subsequent chaining hops, outermost last.  `producer_ids`
-    is a sequence of one node id per chaining-value slot, in order; None
-    gives placeholders, and any other count raises `GrammarError`.  Each
-    hop flagged `aligned` is packed flush against the end of a fresh rate
-    block.
+    `first` is the node's first hop (a message hop reads from bit
+    `offset`); `chain` holds the subsequent chaining hops, outermost last.
+    `producer_ids` holds one node id per chaining-value slot, in order;
+    None gives placeholders, and any other count raises `GrammarError`.
+    Each hop flagged `aligned` is packed flush against the end of a fresh
+    rate block.
     """
     hops = list(chain)
     for hop in hops:
@@ -255,7 +233,7 @@ def encode_node(first, chain=(), is_final: bool = False,
     if isinstance(first, MessageHop):
         segs = []
         if first.length:
-            segs.append(MessageBits(first.offset, first.length))
+            segs.append(MessageBits(offset, first.length))
         segs.append(FrameBits(1, 1))
         pos = first.length + 1
     elif not isinstance(first, ChainingHop):
@@ -297,33 +275,33 @@ def map_hop_tree_to_node_tree(tree: HopTree,
     """Deterministically expand a hop tree into its tree of nodes: one
     node per kangaroo chain, one chaining hop per hop of the chain.  The
     mapping visits producers before consumers, so node ids are
-    topologically ordered and the root node comes last.  A message hop
-    reaching past `tree.message_bits` raises `SliceRangeError`.
-    """
+    topologically ordered and the root node comes last.  The message is
+    read in stream order: a chain's first hop from the running position,
+    then its producers, innermost hop first."""
     nodes = []
-    _map_chain(tree.root, root_final, tree.message_bits, nodes)
-    return NodeTree(tuple(nodes), tree.message_bits)
+    _, end = _map_chain(tree.root, root_final, 0, nodes)
+    return NodeTree(tuple(nodes), end)
 
 
-def _map_chain(anchor, is_final: bool, message_bits: int, nodes: list) -> int:
-    """Append the node of the chain ending at `anchor`; return its id."""
-    chain_rev = [anchor]
-    cur = anchor
-    while isinstance(cur, ChainingHop) and cur.kangaroo_first:
-        cur = cur.children[0]
-        chain_rev.append(cur)
-    hops = chain_rev[::-1]              # first hop ... anchor
-    if isinstance(cur, MessageHop) and cur.offset + cur.length > message_bits:
-        raise SliceRangeError("message slice beyond message end")
+def _map_chain(anchor, is_final: bool, at: int, nodes: list) -> tuple:
+    """Append the node of the chain ending at `anchor`, whose message
+    starts at bit `at`; return its id and the bit after its subtree."""
+    hops = [anchor]
+    while isinstance(hops[-1], ChainingHop) and hops[-1].kangaroo_first:
+        hops.append(hops[-1].children[0])
+    hops.reverse()                      # first hop ... anchor
+    start = at
     producer_ids = []
     for hop in hops:
-        if isinstance(hop, ChainingHop):
+        if isinstance(hop, MessageHop):
+            at += hop.length
+        else:
             for child in hop.cv_children:
-                producer_ids.append(_map_chain(child, False, message_bits,
-                                               nodes))
-    nodes.append(encode_node(hops[0], hops[1:], is_final,
-                             producer_ids=producer_ids))
-    return len(nodes) - 1
+                nid, at = _map_chain(child, False, at, nodes)
+                producer_ids.append(nid)
+    nodes.append(encode_node(hops[0], hops[1:], is_final, producer_ids,
+                             start))
+    return len(nodes) - 1, at
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from importlib import resources
 from . import keccak, planner, scheduler, treeio
 from .bits import BitString
 from .evaluate import evaluate_parallel, evaluate_sequential
-from .sakura import (FrameBits, HopTree, MessageHop,
-                     map_hop_tree_to_node_tree, validate_grammar,
-                     validate_node_tree)
+from .sakura import (FrameBits, HopTree, map_hop_tree_to_node_tree,
+                     validate_grammar, validate_node_tree)
 from .sponge import shake256
 
 _SEED = 0x53414B  # fixed so selftest output is stable
@@ -84,8 +83,8 @@ def suite_model_table():
     for model in planner.MODELS[1:]:
         for as_final in (False, True):
             bits = model.capacity(as_final)
-            root = planner.build_model_subtree(model.id, 0, bits, as_final)
-            tree = map_hop_tree_to_node_tree(HopTree(root, bits),
+            root = planner.build_model_subtree(model.id, bits, as_final)
+            tree = map_hop_tree_to_node_tree(HopTree(root),
                                              root_final=as_final)
             sched = scheduler.simulate(tree)
             depth = max(t.finish for t in sched.timings)

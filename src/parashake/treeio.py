@@ -3,12 +3,12 @@
 A sakura-plan/3 document holds the message length, the planner's report
 and the hop tree (hops keyed by their tree index: the final hop has the
 empty index, child i of a hop indexed alpha has index alpha + [i-1]).
-The node tree is not stored: loading rebuilds it with
-`map_hop_tree_to_node_tree`, so it cannot disagree with the hop tree,
-and rejects a report whose node count or message length differs from
-the rebuilt tree.  It is the only plan schema: a document of any other
-schema is rejected, the /1 documents that also listed the nodes and the
-/2 documents that could pick a second hop-to-node mapping included.
+Each `offset_bits` and `message_bits` is derived, a sum of hop lengths in
+stream order, and loading rejects any other.  The node tree is not
+stored: loading rebuilds it with `map_hop_tree_to_node_tree` and rejects
+a report whose node count or message length differs from it.  It is the
+only plan schema: /1 documents, which also listed the nodes, and /2
+documents, which could pick a second hop-to-node mapping, are rejected.
 Every field read must have the type the dump writes (`true` is not an
 integer and `9.0` is not `9`).  Dumping is canonical, so a document
 that loads dumps back to its own canonical JSON.
@@ -49,11 +49,12 @@ def _field(row: dict, key: str, *types):
 
 def _hops_to_json(tree: HopTree) -> list:
     rows = []
+    at = 0
     for index, hop in iter_hops(tree):
         if isinstance(hop, MessageHop):
             rows.append({"index": list(index), "kind": "message",
-                         "offset_bits": hop.offset,
-                         "length_bits": hop.length})
+                         "offset_bits": at, "length_bits": hop.length})
+            at += hop.length
         else:
             rows.append({"index": list(index), "kind": "chaining",
                          "kangaroo_first_child": hop.kangaroo_first,
@@ -71,18 +72,25 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
         by_index[tuple(index)] = row
     if () not in by_index:
         raise GrammarError("plan document has no final hop")
-    tree = HopTree(_hop_from_json(by_index, ()), message_bits)
-    if len(rows) != sum(1 for _ in iter_hops(tree)):
+    distinct = len(by_index) == len(rows)
+    root = _hop_from_json(by_index, (), 0)
+    if by_index or not distinct:
         raise GrammarError("plan document has unreachable hops")
-    return tree
+    if root.message_bits != message_bits:
+        raise GrammarError("message_bits %d is not %d, the sum of the hop "
+                           "lengths" % (message_bits, root.message_bits))
+    return HopTree(root)
 
 
-def _hop_from_json(by_index: dict, index: tuple):
-    """The hop at `index` of the rows `by_index`, with its subtree."""
-    row = by_index[index]
+def _hop_from_json(by_index: dict, index: tuple, at: int):
+    """Pop the row at `index` of `by_index` and its subtree's rows; return
+    its hop, whose message starts at bit `at`."""
+    row = by_index.pop(index)
     if row["kind"] == "message":
-        return MessageHop(_field(row, "offset_bits", int),
-                          _field(row, "length_bits", int))
+        if _field(row, "offset_bits", int) != at:
+            raise GrammarError("hop %r: offset_bits is not %d, the sum of "
+                               "the lengths before it" % (list(index), at))
+        return MessageHop(_field(row, "length_bits", int))
     if row["kind"] != "chaining":
         raise GrammarError("unknown hop kind %r" % row["kind"])
     children = []
@@ -90,7 +98,8 @@ def _hop_from_json(by_index: dict, index: tuple):
         child_index = index + (i,)
         if child_index not in by_index:
             raise GrammarError("hop %r is missing child %d" % (index, i))
-        children.append(_hop_from_json(by_index, child_index))
+        children.append(_hop_from_json(by_index, child_index, at))
+        at += children[-1].message_bits
     return ChainingHop(
         tuple(children),
         kangaroo_first=_field(row, "kangaroo_first_child", bool),

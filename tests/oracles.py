@@ -8,12 +8,15 @@ meaningful.
 from __future__ import annotations
 
 import random
+import struct
 
 import networkx as nx
 
+from parashake import keccak
 from parashake.bits import BitString
-from parashake.sakura import (RATE_BITS, ChainingHop, FrameBits, HopTree,
-                              NodeTree)
+from parashake.errors import TooManyChainingValues
+from parashake.sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop,
+                              FrameBits, HopTree, NodeTree)
 from parashake.scheduler import NodeTiming, Schedule
 # the model-choice brute force, with its own table, is the selftest's
 from parashake.selftest import brute_force_model_choice  # noqa: F401
@@ -77,6 +80,20 @@ def keccak_f1600_bitwise(state_bits: list) -> list:
             for y in range(5) for x in range(5) for z in range(w)]
 
 
+_STATE = struct.Struct("<25Q")
+
+
+def keccak_f(lanes) -> list:
+    """24-round Keccak-f[1600] on 25 unsigned 64-bit lanes (x + 5*y order),
+    through the package's `keccak.permute`.
+
+    Pure function: returns a new list, the input is unchanged.
+    """
+    buf = bytearray(_STATE.pack(*lanes))
+    keccak.permute(buf)
+    return list(_STATE.unpack(buf))
+
+
 def state_from_bits(bits: BitString) -> list:
     """FIPS 202 mapping of a 1600-bit string onto the 25 lanes."""
     if len(bits) != 1600:
@@ -93,6 +110,51 @@ def state_to_bits(lanes) -> BitString:
             raise ValueError("lane wider than 64 bits")
         value |= lane << (64 * i)
     return BitString(value, 1600)
+
+
+# ---------------------------------------------------------------------------
+# Costs in closed form: node sizes and RawSHAKE256 calls.
+
+
+def node_bit_cost(role: str, kind: str, l: int = 0, n_cv: int = 0) -> int:
+    """Sakura-coded node size, excluding the 4 suffix/pad bits.
+
+    role is 'inner' or 'final'; kind is 'message_only', 'chaining_only'
+    or 'kangaroo'.  For kinds with a chaining hop the size is
+    l [+2] + n_cv*512 + (floor(log256(n_cv)) + 1)*8 + 27 (inner) or
+    + 26 (final); a lone message hop costs l+3 / l+2.
+    """
+    if role not in ("inner", "final"):
+        raise ValueError("role must be inner or final")
+    marker = 3 if role == "inner" else 2
+    if kind == "message_only":
+        if l < 0:
+            raise ValueError("negative message length")
+        return l + marker
+    if kind not in ("chaining_only", "kangaroo"):
+        raise ValueError("unknown node kind %r" % kind)
+    if n_cv < 1:
+        raise ValueError("chaining hop needs at least one value")
+    if n_cv > MAX_CVS:
+        raise TooManyChainingValues("chaining hop must hold 1..255 values")
+    count_bytes = (n_cv.bit_length() - 1) // 8 + 2
+    chain = n_cv * CV_BITS + 8 * count_bytes + 16 + 1
+    if kind == "chaining_only":
+        return chain + marker - 1
+    return l + 2 + chain + marker - 1
+
+
+def rawshake_cost(message_bits: int, digest_bits: int) -> int:
+    """Permutation calls of unredefined RawSHAKE256 on an l-bit input.
+
+    ceil((l+4)/r) + ceil(d/r) - 1: the 4 covers the domain suffix and the
+    minimal multi-rate padding; the first r output bits come with the last
+    absorb, and each further r bits cost one squeeze call.
+    """
+    if message_bits < 0 or digest_bits < 1:
+        raise ValueError("invalid cost query")
+    r = RATE_BITS
+    return (message_bits + 4 + r - 1) // r + (digest_bits - 1) // r
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +210,7 @@ def merge_chains(tree: HopTree) -> HopTree:
         return ChainingHop((hop,) + tuple(node(c) for link in reversed(chain)
                                           for c in link.cv_children))
 
-    return HopTree(node(tree.root), tree.message_bits)
+    return HopTree(node(tree.root))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ criterion fixes one.
 import random
 import time
 
-from oracles import (brute_force_model_choice, random_topological_order,
-                     text01)
+from oracles import (brute_force_model_choice, node_bit_cost,
+                     random_topological_order, text01)
 from parashake import planner, scheduler
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
@@ -18,8 +18,8 @@ from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                select_model)
 from parashake.sakura import (ChainingHop, FrameBits, HopTree,
                               MessageHop, NodeLayout,
-                              map_hop_tree_to_node_tree, node_bit_cost,
-                              validate_grammar, validate_node_tree)
+                              map_hop_tree_to_node_tree, validate_grammar,
+                              validate_node_tree)
 from parashake.scheduler import simulate, validate_happens_before
 from parashake.sponge import shake256
 
@@ -94,20 +94,20 @@ def _encode(role, kind, l, n_cv):
     from parashake.sakura import encode_node
     is_final = role == "final"
     if kind == "message_only":
-        return encode_node(MessageHop(0, l), (), is_final)
+        return encode_node(MessageHop(l), (), is_final)
     if kind == "chaining_only":
-        lone = ChainingHop((MessageHop(0, 0),) * n_cv, kangaroo_first=False)
+        lone = ChainingHop((MessageHop(0),) * n_cv, kangaroo_first=False)
         return encode_node(lone, (), is_final)
-    hop = ChainingHop((MessageHop(0, l),) + (MessageHop(0, 0),) * n_cv)
-    return encode_node(MessageHop(0, l), [hop], is_final)
+    hop = ChainingHop((MessageHop(l),) + (MessageHop(0),) * n_cv)
+    return encode_node(MessageHop(l), [hop], is_final)
 
 
 def test_criterion_3_model_table_fidelity():
     for model in MODELS[1:]:
         for as_final, bits in ((False, model.message_bits),
                                (True, model.message_bits + 1)):
-            root = build_model_subtree(model.id, 0, bits, as_final)
-            tree = map_hop_tree_to_node_tree(HopTree(root, bits),
+            root = build_model_subtree(model.id, bits, as_final)
+            tree = map_hop_tree_to_node_tree(HopTree(root),
                                              root_final=as_final)
             sched = simulate(tree)
             depth = max(t.finish for t in sched.timings)
@@ -119,7 +119,7 @@ def test_criterion_3_model_table_fidelity():
                 assert tail.length == marker + 4, (model.id, "slack")
         # one more bit than the final-hop capacity must not fit
         try:
-            build_model_subtree(model.id, 0, model.message_bits + 2, True)
+            build_model_subtree(model.id, model.message_bits + 2, True)
         except Exception:
             pass
         else:
@@ -194,21 +194,17 @@ def test_criterion_6_relaxation_consistency():
 
 def _grown_leaf_fragment(parent_blocks: int, extra: int, as_final: bool):
     msg = 64 * parent_blocks + (984 if as_final else 983)
-    children = [MessageHop(0, msg)]
-    off = msg
+    children = [MessageHop(msg)]
     grown = []
     for _ in range(2):
         bits = 1081 + extra
-        children.append(MessageHop(off, bits))
+        children.append(MessageHop(bits))
         grown.append(bits)
-        off += bits
     for m in range(2, parent_blocks):
         for _ in range(2):
-            bits = m * 1088 - 7
-            children.append(MessageHop(off, bits))
-            off += bits
+            children.append(MessageHop(m * 1088 - 7))
     root = ChainingHop(tuple(children), kangaroo_first=True)
-    tree = map_hop_tree_to_node_tree(HopTree(root, off),
+    tree = map_hop_tree_to_node_tree(HopTree(root),
                                      root_final=as_final)
     return simulate(tree), grown
 

@@ -2,9 +2,9 @@
 
 Every `MODELS` row must match `selftest.SUBTREE_TABLE` and the paper's
 child distributions written out below.  One SHA-256 covers the hop rows,
-as a plan document writes them, of `build_model_subtree(m, 0, L, final)`
+as a plan document writes them, of `build_model_subtree(m, L, final)`
 for every model, both roles and every slice length L up to the model's
-capacity, and of `max_single_kangaroo(k, 0, final)` with its total for
+capacity, and of `max_single_kangaroo(k, final)` with its total for
 k = 2..130 (the chaining-value count reaches MAX_CVS at k = 122), so any
 change to a hop these builders lay out shows.  Each message hop must
 start where the ones before it in stream order end.
@@ -49,7 +49,7 @@ def _rows(hop, length: int) -> bytes:
     """The plan-document rows of the hop tree rooted at `hop` over
     `length` bits, after checking that its message hops read the message
     in stream order."""
-    rows = treeio._hops_to_json(HopTree(hop, length))
+    rows = treeio._hops_to_json(HopTree(hop))
     at = 0
     for row in rows:
         if row["kind"] == "message":
@@ -64,10 +64,10 @@ def builders_digest() -> str:
     for final in (False, True):
         for model in MODELS:
             for length in range(model.capacity(final) + 1):
-                hop = build_model_subtree(model.id, 0, length, final)
+                hop = build_model_subtree(model.id, length, final)
                 h.update(_rows(hop, length))
         for k in range(2, 131):
-            hop, total = max_single_kangaroo(k, 0, final)
+            hop, total = max_single_kangaroo(k, final)
             h.update(_rows(hop, total) + b"%d" % total)
     return h.hexdigest()
 

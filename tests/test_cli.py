@@ -158,15 +158,16 @@ def test_analyze_rejects_corrupted_plan(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "plan", "--size-bits", "9819",
                            "--strategy", "ternary")
     doc = json.loads(out)
-    # shift the first message hop by one bit: the rebuilt node tree then
-    # leaves a gap in the message
+    # shift the first message hop by one bit: a hop tree reads the message
+    # in stream order, so the document no longer describes one
     row = next(h for h in doc["hops"] if h["kind"] == "message")
     row["offset_bits"] += 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "analyze", "--plan", str(bad))
-    assert code == 1
-    assert out == "plan-valid: no (message gap or overlap at bit 0)\n"
+    code, out, err = run_cli(capsys, "analyze", "--plan", str(bad))
+    assert (code, out) == (2, "")
+    assert err == ("error: hop [0, 0]: offset_bits is not 0, the sum of the "
+                   "lengths before it\n")
 
 
 def test_selftest_quick(capsys):

@@ -243,7 +243,7 @@ def _unrunnable(case: str) -> tuple:
         return tree, replace(scheduler.simulate(tree),
                              timings=(NodeTiming((2, 2)),))
     tree = map_hop_tree_to_node_tree(HopTree(
-        ChainingHop((MessageHop(0, 2169),), kangaroo_first=False), 2169))
+        ChainingHop((MessageHop(2169),), kangaroo_first=False)))
     if case == "rigid":
         return tree, rigid_schedule(tree)
     sched = scheduler.simulate(tree)

@@ -30,22 +30,17 @@ from parashake.scheduler import launches, simulate, validate_happens_before
 PINNED = pathlib.Path(__file__).parent / "data" / "hop_tree_digests.json"
 
 
-def _hop(shape, offset: int = 0) -> tuple:
-    """The hop of `shape` (a message length, or a (kangaroo, aligned,
-    children) triple) over the message from bit `offset`, and the bit
-    after it."""
+def _hop(shape):
+    """The hop of `shape`: a message length, or a (kangaroo, aligned,
+    children) triple."""
     if isinstance(shape, int):
-        return MessageHop(offset, shape), offset + shape
+        return MessageHop(shape)
     kangaroo, aligned, kids = shape
-    children = []
-    for kid in kids:
-        child, offset = _hop(kid, offset)
-        children.append(child)
-    return ChainingHop(tuple(children), kangaroo, aligned), offset
+    return ChainingHop(tuple(map(_hop, kids)), kangaroo, aligned)
 
 
 def _tree(shape) -> HopTree:
-    return HopTree(*_hop(shape))
+    return HopTree(_hop(shape))
 
 
 def _grow_first_hop(shape, bits: int):

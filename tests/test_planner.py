@@ -18,8 +18,8 @@ from parashake.sakura import (ChainingHop, HopTree, MessageHop, encode_node,
 from parashake.sponge import RATE_BITS
 
 
-def simulate_fragment(root, total, as_final=False):
-    tree = map_hop_tree_to_node_tree(HopTree(root, total),
+def simulate_fragment(root, as_final=False):
+    tree = map_hop_tree_to_node_tree(HopTree(root),
                                      root_final=as_final)
     return scheduler.simulate(tree), tree
 
@@ -62,8 +62,8 @@ def test_model_table_rows():
 
 def test_model_subtrees_simulate_to_table():
     for m in MODELS[1:]:
-        root = build_model_subtree(m.id, 0, m.message_bits)
-        sched, tree = simulate_fragment(root, m.message_bits)
+        root = build_model_subtree(m.id, m.message_bits)
+        sched, tree = simulate_fragment(root)
         assert sched.processors == m.processors
         assert max(t.finish for t in sched.timings) == m.time_units
         assert sched.total_stalls == 0
@@ -74,36 +74,36 @@ def test_model_subtrees_simulate_to_table():
 def test_model_final_variant_takes_one_more_bit():
     for m in MODELS:
         bits = m.message_bits + 1
-        root = build_model_subtree(m.id, 0, bits, as_final=True)
-        sched, _ = simulate_fragment(root, bits, as_final=True)
+        root = build_model_subtree(m.id, bits, as_final=True)
+        sched, _ = simulate_fragment(root, as_final=True)
         assert sched.processors == m.processors
         assert sched.depth == m.time_units
         with pytest.raises(NodeCapacityError):
-            build_model_subtree(m.id, 0, bits + 1, as_final=True)
+            build_model_subtree(m.id, bits + 1, as_final=True)
         with pytest.raises(NodeCapacityError):
-            build_model_subtree(m.id, 0, m.message_bits + 1)
+            build_model_subtree(m.id, m.message_bits + 1)
 
 
 def test_model_trimming_shrinks_last_children_first():
     # model 2 with 2171 bits: first child keeps 1111, second 1060, third gone
-    root = build_model_subtree(2, 0, 2171)
+    root = build_model_subtree(2, 2171)
     assert isinstance(root, ChainingHop)
     assert [c.length for c in root.children] == [1111, 1060]
-    sched, _ = simulate_fragment(root, 2171)
+    sched, _ = simulate_fragment(root)
     assert sched.total_stalls == 0
 
 
 def test_model_examples():
     # a full final template of the three-processor row: two blocks + leaves
-    root = build_model_subtree(2, 0, 3274, as_final=True)
-    sched, tree = simulate_fragment(root, 3274, as_final=True)
+    root = build_model_subtree(2, 3274, as_final=True)
+    sched, tree = simulate_fragment(root, as_final=True)
     assert sched.depth == 2 and sched.processors == 3
     assert tree.nodes[-1].blocks == 2
-    root = build_model_subtree(1, 0, 2704)
-    sched, _ = simulate_fragment(root, 2704)
+    root = build_model_subtree(1, 2704)
+    sched, _ = simulate_fragment(root)
     assert sched.depth == 2 and sched.processors == 2
-    root = build_model_subtree(2, 0, 3273)
-    sched, _ = simulate_fragment(root, 3273)
+    root = build_model_subtree(2, 3273)
+    sched, _ = simulate_fragment(root)
     assert sched.depth == 2 and sched.processors == 3
 
 
@@ -227,9 +227,9 @@ def test_plan_with_model_depth_equals_selection_target(rng):
 
 def _node(bits: int, n_cv: int, final: bool):
     """A message hop of `bits`, then a chaining hop of `n_cv` values."""
-    values = (MessageHop(0, 0),) * n_cv
-    chain = [ChainingHop((MessageHop(0, bits),) + values)] if n_cv else []
-    return encode_node(MessageHop(0, bits), chain, final,
+    values = (MessageHop(0),) * n_cv
+    chain = [ChainingHop((MessageHop(bits),) + values)] if n_cv else []
+    return encode_node(MessageHop(bits), chain, final,
                        producer_ids=range(n_cv))
 
 
@@ -253,7 +253,7 @@ def test_capacities_are_the_writers_maxima(final):
         starts = [pos for pos, _ in node.cv_positions()]
         assert starts[0] == 64 * b + 985 + final
         for slot in (0, 1):
-            assert (leaf_idle_slack(b, slot, final)
+            assert (leaf_idle_slack(b, slot)
                     == starts[slot] // RATE_BITS - 1)
     assert LEAF_CAPACITY == 1081
     lone = ([(RATE_BITS * k - 6, k) for k in range(1, 21)] if final
@@ -342,14 +342,14 @@ def test_leaf_idle_slack_boundary():
     # to both leaf children, but the first child's value starts 38 bits
     # before the block boundary, so only the second child may grow
     assert leaf_idle_allowance(18) == 1
-    assert leaf_idle_slack(18, 0, True) == 0
-    assert leaf_idle_slack(18, 1, True) == 1
+    assert leaf_idle_slack(18, 0) == 0
+    assert leaf_idle_slack(18, 1) == 1
     # j = 18: both leaves of the final node really can grow
-    assert leaf_idle_slack(19, 0, True) == 1
-    assert leaf_idle_slack(19, 1, True) == 1
+    assert leaf_idle_slack(19, 0) == 1
+    assert leaf_idle_slack(19, 1) == 1
     # inner parents one level down hit the same boundary at 18 blocks
-    assert leaf_idle_slack(18, 0, False) == 0
-    assert leaf_idle_slack(20, 0, False) == 1
+    assert leaf_idle_slack(18, 0) == 0
+    assert leaf_idle_slack(20, 0) == 1
 
 
 def _synthetic_relaxed_fragment(parent_blocks: int, grow: tuple,
@@ -358,42 +358,37 @@ def _synthetic_relaxed_fragment(parent_blocks: int, grow: tuple,
     message-only stand-ins for the deeper subtree producers."""
     n_cv = 2 * (parent_blocks - 1)
     msg = 64 * parent_blocks + (984 if as_final else 983)
-    children = [MessageHop(0, msg)]
-    off = msg
+    children = [MessageHop(msg)]
     for slot in (0, 1):
-        bits = 1081 + grow[slot] * 1088
-        children.append(MessageHop(off, bits))
-        off += bits
+        children.append(MessageHop(1081 + grow[slot] * 1088))
     for m in range(2, parent_blocks):
         for _ in range(2):
-            bits = m * 1088 - 7     # stand-in finishing at time m
-            children.append(MessageHop(off, bits))
-            off += bits
+            # a stand-in finishing at time m
+            children.append(MessageHop(m * 1088 - 7))
     assert len(children) == n_cv + 1
     root = ChainingHop(tuple(children), kangaroo_first=True)
-    tree = map_hop_tree_to_node_tree(HopTree(root, off),
-                                     root_final=as_final)
-    return scheduler.simulate(tree), off
+    tree = map_hop_tree_to_node_tree(HopTree(root), root_final=as_final)
+    return scheduler.simulate(tree)
 
 
 def test_relaxed_growth_is_stall_free_at_j18():
     # final node of 19 blocks: both leaves absorb exactly one extra block
-    sched, _ = _synthetic_relaxed_fragment(19, (1, 1), as_final=True)
+    sched = _synthetic_relaxed_fragment(19, (1, 1), as_final=True)
     assert sched.total_stalls == 0
     assert sched.depth == 19
 
 
 def test_relaxed_growth_boundary_at_j17():
     # growing only the second leaf is free; growing the first one stalls
-    sched, _ = _synthetic_relaxed_fragment(18, (0, 1), as_final=True)
+    sched = _synthetic_relaxed_fragment(18, (0, 1), as_final=True)
     assert sched.total_stalls == 0 and sched.depth == 18
-    sched, _ = _synthetic_relaxed_fragment(18, (1, 1), as_final=True)
+    sched = _synthetic_relaxed_fragment(18, (1, 1), as_final=True)
     assert sched.total_stalls > 0
 
 
 def test_relaxed_growth_inner_family_j20():
     # inner parents of 20 blocks accept the idle-time growth on both leaves
-    sched, _ = _synthetic_relaxed_fragment(20, (1, 1), as_final=False)
+    sched = _synthetic_relaxed_fragment(20, (1, 1), as_final=False)
     assert sched.total_stalls == 0
     assert max(t.finish for t in sched.timings) == 20
 
@@ -418,7 +413,8 @@ def test_recipe_leaf_sizes():
 def test_recipe_depth_equals_k(rng):
     for k in (2, 3, 5, 8, 12):
         root, total = max_single_kangaroo(k)
-        sched, tree = simulate_fragment(root, total)
+        sched, tree = simulate_fragment(root)
+        assert tree.message_bits == total
         assert max(t.finish for t in sched.timings) == k
         assert sched.total_stalls == 0
         ok, why = validate_node_tree(tree, fragment=True)
@@ -481,3 +477,24 @@ def test_dispatcher_auto():
     assert plan("auto", 3274).strategy == "ternary"
     with pytest.raises(ValueError):
         plan("nonsense", 10)
+
+
+# ---------------------------------------------------------------------------
+# shared subtrees
+
+
+@pytest.mark.parametrize("strategy", planner.STRATEGIES[1:])
+def test_equal_subtrees_are_one_object(strategy):
+    # 68,840 to 137,492 hops at 10^8 bits; each subtree that recurs is
+    # built once, so a walk that skips objects it has seen stays short
+    n = 10 ** 8
+    root, _ = planner._choose(strategy, n)[3]()
+    seen = {}
+    stack = [root]
+    while stack:
+        hop = stack.pop()
+        if id(hop) not in seen:
+            seen[id(hop)] = hop
+            stack.extend(getattr(hop, "children", ()))
+    assert len(seen) <= 100, len(seen)
+    assert HopTree(root).message_bits == n

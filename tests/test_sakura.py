@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frame, is_pad, merge_chains, text01
+from oracles import frame, is_pad, merge_chains, node_bit_cost, text01
 from parashake import planner
-from parashake.errors import (GrammarError, SliceRangeError,
-                              TooManyChainingValues)
+from parashake.errors import GrammarError, TooManyChainingValues
 from parashake.sakura import (ChainingHop, CVSlot, FrameBits,
                               HopTree, MessageBits, MessageHop, NodeLayout,
-                              chaining_frame_bits, encode_node, iter_hops,
-                              map_hop_tree_to_node_tree, node_bit_cost,
+                              NodeTree, chaining_frame_bits, encode_node,
+                              iter_hops, map_hop_tree_to_node_tree,
                               validate_grammar, validate_node_tree)
 
 
@@ -53,12 +52,12 @@ def test_formula_errors():
 def _encode_class(role, kind, l, n_cv):
     is_final = role == "final"
     if kind == "message_only":
-        return encode_node(MessageHop(0, l), (), is_final)
-    chain_hop = ChainingHop((MessageHop(0, l),) + (MessageHop(0, 0),) * n_cv,
+        return encode_node(MessageHop(l), (), is_final)
+    chain_hop = ChainingHop((MessageHop(l),) + (MessageHop(0),) * n_cv,
                             kangaroo_first=True)
     if kind == "kangaroo":
-        return encode_node(MessageHop(0, l), [chain_hop], is_final)
-    lone = ChainingHop((MessageHop(0, 0),) * n_cv, kangaroo_first=False)
+        return encode_node(MessageHop(l), [chain_hop], is_final)
+    lone = ChainingHop((MessageHop(0),) * n_cv, kangaroo_first=False)
     return encode_node(lone, (), is_final)
 
 
@@ -86,16 +85,16 @@ def hop_bits(node: NodeLayout) -> int:
 
 
 def test_message_hop_encoding():
-    empty = encode_node(MessageHop(0, 0))
+    empty = encode_node(MessageHop(0))
     assert empty.segments[:-1] == (FrameBits(1, 1),)
-    node = encode_node(MessageHop(5, 9))
+    node = encode_node(MessageHop(9), offset=5)
     assert node.segments[:-1] == (MessageBits(5, 9), FrameBits(1, 1))
     assert hop_bits(node) == 10
 
 
 def test_chaining_hop_lengths():
     for n_cv, want in ((1, 545), (2, 1057), (4, 2081), (255, 130593)):
-        lone = ChainingHop((MessageHop(0, 0),) * n_cv, kangaroo_first=False)
+        lone = ChainingHop((MessageHop(0),) * n_cv, kangaroo_first=False)
         node = encode_node(lone)
         assert hop_bits(node) == want
         assert node.segments[-2] == chaining_frame_bits(n_cv)
@@ -114,10 +113,10 @@ def test_chaining_frame_bit_pattern():
 def test_chaining_hop_count_bounds():
     # the hop refuses 256 values, so no node can be asked to write them
     with pytest.raises(TooManyChainingValues):
-        encode_node(ChainingHop((MessageHop(0, 0),) * 256,
+        encode_node(ChainingHop((MessageHop(0),) * 256,
                                 kangaroo_first=False))
     with pytest.raises(TooManyChainingValues):
-        encode_node(MessageHop(0, 0), [ChainingHop((MessageHop(0, 0),) * 257)])
+        encode_node(MessageHop(0), [ChainingHop((MessageHop(0),) * 257)])
 
 
 # ---------------------------------------------------------------------------
@@ -126,26 +125,26 @@ def test_chaining_hop_count_bounds():
 
 def test_single_final_hop_sizes():
     # 1112 message bits alone under-fill; the closing pad absorbs the slack
-    node = encode_node(MessageHop(0, 1112), (), is_final=True)
+    node = encode_node(MessageHop(1112), (), is_final=True)
     assert node.total_bits == 2176
     assert tail_fill_zeros(node) == 2176 - 1118
     # at 2170 bits the final node is exactly rate-full
-    node = encode_node(MessageHop(0, 2170), (), is_final=True)
+    node = encode_node(MessageHop(2170), (), is_final=True)
     assert node.total_bits == 2176
     assert tail_fill_zeros(node) == 0
 
 
 def test_inner_message_node_rate_full():
-    node = encode_node(MessageHop(0, 1081), (), is_final=False)
+    node = encode_node(MessageHop(1081), (), is_final=False)
     assert node.total_bits == 1088
     assert tail_fill_zeros(node) == 0
 
 
 def test_model_full_final_node_layout():
     # 1112-bit message hop plus a kangaroo hop of two values: two blocks
-    hop = ChainingHop((MessageHop(0, 1112), MessageHop(0, 1081),
-                       MessageHop(0, 1081)))
-    node = encode_node(MessageHop(0, 1112), [hop], is_final=True,
+    hop = ChainingHop((MessageHop(1112), MessageHop(1081),
+                       MessageHop(1081)))
+    node = encode_node(MessageHop(1112), [hop], is_final=True,
                        producer_ids=[0, 1])
     assert node.total_bits == 2176
     assert tail_fill_zeros(node) == 0
@@ -153,11 +152,11 @@ def test_model_full_final_node_layout():
 
 
 def test_aligned_extra_hop_gets_own_block():
-    base = ChainingHop((MessageHop(0, 1111), MessageHop(0, 1081),
-                        MessageHop(0, 1081)))
-    upper = ChainingHop((base, MessageHop(0, 1), MessageHop(0, 1)),
+    base = ChainingHop((MessageHop(1111), MessageHop(1081),
+                        MessageHop(1081)))
+    upper = ChainingHop((base, MessageHop(1), MessageHop(1)),
                         aligned=True)
-    node = encode_node(MessageHop(0, 1111), [base, upper], is_final=True,
+    node = encode_node(MessageHop(1111), [base, upper], is_final=True,
                        producer_ids=[0, 1, 2, 3])
     assert node.total_bits == 3264
     positions = [p for p, _ in node.cv_positions()]
@@ -169,15 +168,15 @@ def test_aligned_extra_hop_gets_own_block():
 
 def test_encode_rejects_bad_chains():
     with pytest.raises(GrammarError):
-        encode_node(MessageHop(0, 10), [MessageHop(20, 10)])
-    lone = ChainingHop((MessageHop(0, 0),), kangaroo_first=False)
+        encode_node(MessageHop(10), [MessageHop(10)])
+    lone = ChainingHop((MessageHop(0),), kangaroo_first=False)
     with pytest.raises(GrammarError):
-        encode_node(ChainingHop((MessageHop(0, 1),), kangaroo_first=True))
+        encode_node(ChainingHop((MessageHop(1),), kangaroo_first=True))
     # a chain hop must absorb its first child
     with pytest.raises(GrammarError):
-        encode_node(MessageHop(0, 10), [lone])
+        encode_node(MessageHop(10), [lone])
     # one producer id per chaining-value slot, no fewer and no more
-    pair = ChainingHop((MessageHop(0, 0),) * 2, kangaroo_first=False)
+    pair = ChainingHop((MessageHop(0),) * 2, kangaroo_first=False)
     for ids in ([7], [7, 8, 9]):
         with pytest.raises(GrammarError, match="for 2 chaining-value slots"):
             encode_node(pair, producer_ids=ids)
@@ -189,14 +188,14 @@ def test_encode_rejects_bad_chains():
 
 
 def test_hop_indexing_rule():
-    leaves = tuple(MessageHop(100 * i, 10) for i in range(3))
-    inner = ChainingHop((MessageHop(0, 5),) + leaves[:2])
+    leaves = tuple(MessageHop(10 + i) for i in range(3))
+    inner = ChainingHop((MessageHop(5),) + leaves[:2])
     root = ChainingHop((inner, leaves[2]), aligned=True)
-    tree = HopTree(root, 1000)
+    tree = HopTree(root)
     indexed = dict(iter_hops(tree))
     assert indexed[()] is root
     assert indexed[(0,)] is inner
-    assert indexed[(0, 0)] == MessageHop(0, 5)
+    assert indexed[(0, 0)] == MessageHop(5)
     assert indexed[(0, 1)] is leaves[0]
     assert indexed[(1,)] is leaves[2]
     # every non-root index extends its parent by one position
@@ -205,18 +204,12 @@ def test_hop_indexing_rule():
             assert index[:-1] in indexed
 
 
-def test_hop_tree_slice_bounds():
-    tree = HopTree(MessageHop(0, 2000), 1000)
-    with pytest.raises(SliceRangeError):
-        map_hop_tree_to_node_tree(tree)
-
-
 # ---------------------------------------------------------------------------
 # mapping
 
 
 def test_single_hop_maps_to_one_node():
-    tree = HopTree(MessageHop(0, 500), 500)
+    tree = HopTree(MessageHop(500))
     nt = map_hop_tree_to_node_tree(tree)
     assert nt.node_count == 1
     assert nt.nodes[0].is_final
@@ -248,11 +241,20 @@ def test_compacted_mapping_single_chain_hop_per_node():
 
 
 def test_message_coverage_is_checked():
-    hop = ChainingHop((MessageHop(0, 100), MessageHop(50, 100)))
-    tree = HopTree(hop, 150)
-    nt = map_hop_tree_to_node_tree(tree)
-    ok, why = validate_node_tree(nt)
+    # a hop tree cannot express overlapping slices; lay out the nodes by
+    # hand, the leaf reading bits 50..149 where the root reads 0..99
+    leaf = encode_node(MessageHop(100), offset=50)
+    root = encode_node(MessageHop(100),
+                       [ChainingHop((MessageHop(100), MessageHop(100)))],
+                       is_final=True, producer_ids=[0])
+    ok, why = validate_node_tree(NodeTree((leaf, root), 150))
     assert not ok and "overlap" in why
+    ok, why = validate_node_tree(NodeTree((leaf, root), 200))
+    assert not ok and "overlap" in why
+    leaf = encode_node(MessageHop(100), offset=100)
+    assert validate_node_tree(NodeTree((leaf, root), 200)) == (True, "ok")
+    ok, why = validate_node_tree(NodeTree((leaf, root), 250))
+    assert not ok and "covers 200 of 250" in why
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def test_constructed_nodes_validate(rng):
 
 
 def test_wrong_suffix_rejected():
-    node = encode_node(MessageHop(0, 1081), (), is_final=False)
+    node = encode_node(MessageHop(1081), (), is_final=False)
     tail = node.segments[-1]
     bad = frame(text01(tail)[:-4] + "1101")
     mutated = NodeLayout(node.segments[:-1] + (bad,), node.is_final)
@@ -369,7 +371,7 @@ def test_zero_length_cv_slot_is_read_once():
 
 def test_fragment_trees_validate():
     root, total = planner.max_single_kangaroo(3)
-    nt = map_hop_tree_to_node_tree(HopTree(root, total),
-                                  root_final=False)
+    nt = map_hop_tree_to_node_tree(HopTree(root), root_final=False)
+    assert nt.message_bits == total
     ok, why = validate_node_tree(nt, fragment=True)
     assert ok, why

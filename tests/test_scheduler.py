@@ -10,13 +10,13 @@ from parashake.sakura import (ChainingHop, HopTree, MessageHop,
 from parashake.scheduler import simulate, validate_happens_before
 
 
-def fragment(root, total, as_final=False):
-    return map_hop_tree_to_node_tree(HopTree(root, total),
+def fragment(root, as_final=False):
+    return map_hop_tree_to_node_tree(HopTree(root),
                                      root_final=as_final)
 
 
 def test_single_node_depth():
-    tree = fragment(MessageHop(0, 500), 500, as_final=True)
+    tree = fragment(MessageHop(500), as_final=True)
     s = simulate(tree)
     assert s.depth == 1
     assert (s.total_calls, s.processors, s.max_concurrency) == (1, 1, 1)
@@ -32,8 +32,8 @@ def test_fig3_depth_and_processors():
 
 
 def test_model6_subtree_timing():
-    root = planner.build_model_subtree(6, 0, 7675)
-    tree = fragment(root, 7675)
+    root = planner.build_model_subtree(6, 7675)
+    tree = fragment(root)
     s = simulate(tree)
     assert max(t.finish for t in s.timings) == 3
     assert s.processors == 5
@@ -53,9 +53,9 @@ def test_block_times_are_consecutive_without_stalls():
 def test_stall_is_simulated():
     # a parent whose first block holds the value of a two-block child
     # cannot start absorbing until that child finishes
-    child = MessageHop(0, 2169)
+    child = MessageHop(2169)
     root = ChainingHop((child,), kangaroo_first=False)
-    tree = fragment(root, 2169)
+    tree = fragment(root)
     s = simulate(tree)
     parent = s.timings[-1]
     assert parent.block_end[0] == 3  # waits for the child's finish at 2
@@ -64,9 +64,9 @@ def test_stall_is_simulated():
 
 
 def test_rigid_schedule_violates_happens_before():
-    child = MessageHop(0, 2169)
+    child = MessageHop(2169)
     root = ChainingHop((child,), kangaroo_first=False)
-    tree = fragment(root, 2169)
+    tree = fragment(root)
     assert not validate_happens_before(rigid_schedule(tree), tree)
     # but a rigid schedule of a stall-free plan is the simulated one
     p = planner.plan("compacted", 29457)
@@ -118,13 +118,13 @@ def test_squeeze_charged_to_final_node():
     assert long.depth == base.depth + 3          # ceil(4096/1088) - 1
     assert long.squeeze_calls == 3
     assert long.total_calls == base.total_calls + 3
-    frag = fragment(planner.build_model_subtree(2, 0, 3273), 3273)
+    frag = fragment(planner.build_model_subtree(2, 3273))
     assert simulate(frag, out_bits=4096).squeeze_calls == 0
 
 
 @pytest.mark.parametrize("out_bits", [0, -1, -7000])
 def test_output_length_must_be_positive(out_bits):
-    tree = fragment(MessageHop(0, 500), 500, as_final=True)
+    tree = fragment(MessageHop(500), as_final=True)
     with pytest.raises(OutputLengthError, match="must be positive"):
         simulate(tree, out_bits)
 

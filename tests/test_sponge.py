@@ -6,13 +6,13 @@ from importlib import resources
 
 import pytest
 
-from oracles import from01
+from oracles import from01, rawshake_cost
 from parashake import keccak, sakura, sponge
 from parashake.bits import BitString
 from parashake.errors import BlockAlignmentError, OutputLengthError
 from parashake.planner import plan
 from parashake.scheduler import simulate
-from parashake.sponge import inner_f, rawshake_cost, shake256, xof_output
+from parashake.sponge import inner_f, shake256, xof_output
 
 # Published example digests (empty message and the 1600-bit message of
 # 0xA3 bytes), 512-bit prefixes.

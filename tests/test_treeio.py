@@ -73,6 +73,24 @@ def test_load_rejects_bad_documents():
         treeio.load_plan(json.dumps(broken))
 
 
+def test_load_rejects_offsets_and_lengths_that_are_not_derived():
+    text = treeio.dump_plan(planner.plan("ternary", 9819))
+    # the message one bit longer than its hops, in the report as well
+    broken = json.loads(text)
+    broken["message_bits"] = broken["report"]["message_bits"] = 9820
+    with pytest.raises(GrammarError, match="message_bits 9820 is not 9819"):
+        treeio.load_plan(json.dumps(broken))
+    # two message hops that trade offsets: the slices still partition the
+    # message, but not in stream order
+    broken = json.loads(text)
+    second, third = [h for h in broken["hops"] if h["kind"] == "message"][1:3]
+    second["offset_bits"], third["offset_bits"] = (third["offset_bits"],
+                                                   second["offset_bits"])
+    with pytest.raises(GrammarError,
+                       match=r"hop \[0, 1\]: offset_bits is not 1111"):
+        treeio.load_plan(json.dumps(broken))
+
+
 def test_schedule_document():
     plan = planner.plan("ternary", 29457)
     sched = scheduler.simulate(plan.node_tree)
@@ -102,7 +120,8 @@ def test_vector_loader():
 
 
 @pytest.mark.parametrize("strategy, n", (("ternary", 29457),
-                                         ("compacted", 10**5)))
+                                         ("compacted", 10**5),
+                                         ("compacted-relaxed", 10**5)))
 def test_planning_and_loading_leave_no_reference_cycles(strategy, n):
     # with the collector off, whatever the calls leave unreachable stays
     # until gc.collect(), which reports how much it freed
