@@ -9,7 +9,7 @@ from .keccak import BACKEND
 from .planner import (MODELS, Plan, PlanReport, plan, plan_ternary_with_model,
                       predict, select_model)
 from .sakura import (HopTree, NodeTree, map_hop_tree_to_node_tree,
-                     validate_grammar, validate_node_tree)
+                     validate_node_tree)
 from .scheduler import Schedule, simulate, validate_happens_before
 from .sponge import inner_f, shake256, xof_output
 
@@ -20,6 +20,6 @@ __all__ = [
     "Plan", "PlanReport", "Schedule", "__version__",
     "evaluate_parallel", "evaluate_sequential", "inner_f",
     "map_hop_tree_to_node_tree", "plan", "plan_ternary_with_model",
-    "predict", "select_model", "shake256", "simulate", "validate_grammar",
+    "predict", "select_model", "shake256", "simulate",
     "validate_happens_before", "validate_node_tree", "xof_output",
 ]

@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):     # a size no index can hold
         print("error: out of memory", file=sys.stderr)
         return 2
 

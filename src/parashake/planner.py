@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MessageTooShortError, NodeCapacityError
-from .sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop, HopTree,
-                     MessageHop, NodeTree, map_hop_tree_to_node_tree)
+from .sakura import (CV_BITS, RATE_BITS, ChainingHop, HopTree, MessageHop,
+                     NodeTree, map_hop_tree_to_node_tree)
 
 STRATEGIES = ("single", "ternary", "ternary-min-procs", "compacted",
               "compacted-relaxed")
@@ -348,26 +348,6 @@ def _build_compacted(n: int, relaxed: bool) -> tuple:
         j += 1
     return _build_compacted_subtree(j + 1, n, _compacted_caps(j, relaxed),
                                     relaxed, {}, is_final=True), j
-
-
-# ---------------------------------------------------------------------------
-# single-hop maximization recipe
-
-def max_single_kangaroo(k: int, as_final: bool = False) -> tuple:
-    """Maximize message bits through one kangaroo hop in a node of k
-    blocks.
-
-    Chaining values pack the tail of the node, as many as start past its
-    first block (at most MAX_CVS); each comes from the full message-only
-    leaf `_kangaroo_caps` puts behind it.  Returns (root hop, total
-    message bits)."""
-    if k < 2:
-        raise ValueError("the node must span at least 2 blocks")
-    # most values with _own_capacity(k, n) >= RATE_BITS, CV_BITS per value
-    n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
-    caps = _kangaroo_caps(k, n_cv)
-    total = sum(caps) + as_final
-    return _fill(total, _message_slots(caps, as_final)), total
 
 
 # ---------------------------------------------------------------------------

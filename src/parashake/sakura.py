@@ -1,4 +1,4 @@
-"""Sakura tree coding: hops, nodes, frame bits, the mapping, grammar.
+"""Sakura tree coding: hops, nodes, frame bits, the mapping, validation.
 
 A hop is a logical unit (message bits or chaining values); a node is a
 fully framed f-input.  Kangaroo hopping encodes a hop followed by
@@ -21,6 +21,11 @@ Layout conventions:
   '1 0^z'.  z is 0 unless the hop is flagged `aligned`: then the z zeros
   pad it flush against the end of a fresh rate block, so each one is
   absorbed by a single permutation call.
+
+`encode_node` is the one writer of this coding, and `validate_node_tree`
+checks only how nodes fit into a tree.  The coding's checks live in
+`tests/oracles.py`: a parser that reads node layouts back, and an oracle
+that re-derives every node's bits from the rules above.
 """
 
 from __future__ import annotations
@@ -307,106 +312,18 @@ def _map_chain(anchor, is_final: bool, at: int, nodes: list) -> tuple:
 # ---------------------------------------------------------------------------
 # Validation
 
-def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
-    """Parse the node right to left under the tree coding rules.
-
-    Returns (ok, diagnosis).  Frame bits are checked exactly: markers,
-    suffix, multi-rate pad, alignment pads, the coded chaining-value
-    count against the actual slot count, and the interleaving marker.
-    """
-    frame = mask = 0        # the frame bits, and which positions they fill
-    messages, cvs = {}, {}  # end position -> start of each such segment
-    p = 0
-    for seg in node.segments:
-        if isinstance(seg, MessageBits):
-            messages[p + seg.length] = p
-        elif isinstance(seg, CVSlot):
-            cvs[p + seg.length] = p
-        elif isinstance(seg, FrameBits):
-            frame |= seg.value << p
-            mask |= ((1 << seg.length) - 1) << p
-        else:
-            raise TypeError("unknown segment %r" % (seg,))
-        p += seg.length
-    stops = frame | mask ^ ((1 << p) - 1)   # every bit but a frame '0'
-    # p counts the bits not yet read; the next one read is bit p - 1
-
-    def fail(msg: str):
-        raise GrammarError(msg)
-
-    def take_frame(expect: int | None = None) -> int:
-        nonlocal p
-        if p <= 0 or not mask >> (p - 1) & 1:
-            fail("expected a frame bit")
-        p -= 1
-        bit = frame >> p & 1
-        if expect is not None and bit != expect:
-            fail("frame bit '%d' where '%d' was required" % (bit, expect))
-        return bit
-
-    def skip_zeros() -> None:
-        nonlocal p
-        p = (stops & ((1 << p) - 1)).bit_length()
-
-    try:
-        # backwards: the multi-rate pad '1 0^z 1', the suffix '11' and the
-        # node marker ('1' final, '10' inner)
-        take_frame(1)
-        skip_zeros()
-        for expect in (1, 1, 1, 1) if node.is_final else (1, 1, 1, 0, 1):
-            take_frame(expect)
-        # hops
-        while True:
-            if p <= 0:
-                fail("node has no hops")
-            if not mask >> (p - 1) & 1:
-                fail("unexpected %s token inside frame position"
-                     % ("m" if p in messages else "c"))
-            if take_frame():
-                p = messages.get(p, p)  # message hop terminator, message
-                if p > 0:
-                    fail("message hop is not at the start of the node")
-                break
-            if p < 32 or mask >> (p - 32) & 0xFFFFFFFF != 0xFFFFFFFF:
-                fail("expected a frame bit")
-            p -= 32
-            coded = frame >> p & 0xFFFFFFFF
-            count = coded & 0xFF
-            if coded >> 16 != _NO_INTERLEAVING:
-                fail("bad interleaving marker")
-            if coded >> 8 & 0xFF != 1:
-                fail("bad coded-count length byte")
-            if not 1 <= count <= MAX_CVS:
-                fail("coded chaining-value count out of range")
-            got = 0
-            while p in cvs:
-                p = cvs.pop(p)      # popped: a zero-length slot ends the loop
-                got += 1
-            if got != count:
-                fail("coded count %d disagrees with %d slots" % (count, got))
-            if p <= 0:
-                break               # chaining hop opens the node
-            skip_zeros()
-            take_frame(1)           # pad before this hop
-    except GrammarError as exc:
-        return False, str(exc)
-    return True, "ok"
-
-
 def validate_node_tree(tree: NodeTree,
                        fragment: bool = False) -> tuple[bool, str]:
     """Structural checks over a whole node tree.
 
-    Verifies per-node grammar, the single-final-node rule, topological
-    chaining-value references, single use of every inner node's value,
-    and that message slices partition the message exactly.
+    Verifies the single-final-node rule, topological chaining-value
+    references, single use of every inner node's value, and that message
+    slices partition the message exactly.  Each node's frame bits are
+    `encode_node`'s, so they are not parsed here.
     """
     if not tree.nodes:
         return False, "empty tree"
     for nid, node in enumerate(tree.nodes):
-        ok, why = validate_grammar(node)
-        if not ok:
-            return False, "node %d: %s" % (nid, why)
         if node.is_final != (not fragment and nid == len(tree.nodes) - 1):
             return False, "node %d has the wrong final flag" % nid
     try:

@@ -14,8 +14,6 @@ from importlib import resources
 from . import keccak, planner, scheduler, treeio
 from .bits import BitString
 from .evaluate import evaluate_parallel, evaluate_sequential
-from .sakura import (FrameBits, HopTree, map_hop_tree_to_node_tree,
-                     validate_grammar, validate_node_tree)
 from .sponge import shake256
 
 _SEED = 0x53414B  # fixed so selftest output is stable
@@ -74,27 +72,6 @@ def suite_batched_kernel(widths: tuple = (2, 3, 17, 64, 257)):
                     return False, "width %d, rate %d, state %d differs" % (
                         width, rate, k)
     return True, "widths %s" % "/".join(str(w) for w in widths)
-
-
-@_suite
-def suite_model_table():
-    """Every catalogue subtree simulates to its tabled processor count
-    and depth, at full capacity and with the final-hop extra bit."""
-    for model in planner.MODELS[1:]:
-        for as_final in (False, True):
-            bits = model.capacity(as_final)
-            root = planner.build_model_subtree(model.id, bits, as_final)
-            tree = map_hop_tree_to_node_tree(HopTree(root),
-                                             root_final=as_final)
-            sched = scheduler.simulate(tree)
-            depth = max(t.finish for t in sched.timings)
-            if (sched.processors, depth) != (model.processors,
-                                             model.time_units):
-                return False, "model %d simulates to (%d, %d)" % (
-                    model.id, sched.processors, depth)
-            if sched.total_stalls:
-                return False, "model %d stalls" % model.id
-    return True, "10 models, both variants"
 
 
 def _sweep_points(count: int, lo: int = 3275, hi: int = 10 ** 6) -> list:
@@ -183,90 +160,6 @@ def suite_tree_digests(max_bits: int | None = None,
         len(rows), "/".join(str(bits) for bits in out_bits))
 
 
-@_suite
-def suite_grammar(mutations: int = 200):
-    rng = random.Random(_SEED + 1)
-    plans = [planner.plan("ternary", 29457),
-             planner.plan("compacted", 29457),
-             planner.plan("ternary-min-procs", 13115),
-             planner.plan("single", 1112)]
-    nodes = [node for p in plans for node in p.node_tree.nodes]
-    for p in plans:
-        ok, why = validate_node_tree(p.node_tree)
-        if not ok:
-            return False, why
-    rejected = 0
-    for _ in range(mutations):
-        node = rng.choice(nodes)
-        frames = [(i, seg) for i, seg in enumerate(node.segments)
-                  if isinstance(seg, FrameBits)]
-        idx, seg = rng.choice(frames)
-        flip = rng.randrange(seg.length)
-        segments = list(node.segments)
-        segments[idx] = FrameBits(seg.value ^ 1 << flip, seg.length)
-        twisted = type(node)(tuple(segments), node.is_final)
-        ok, _ = validate_grammar(twisted)
-        if not ok:
-            rejected += 1
-    if rejected != mutations:
-        return False, "%d of %d mutations accepted" % (mutations - rejected,
-                                                       mutations)
-    return True, "%d mutations rejected" % mutations
-
-
-# (id, message bits, processors, time units), written out here, not read
-# from the planner, so that the cross-check is independent of it
-SUBTREE_TABLE = (
-    (0, 2169, 1, 2),
-    (1, 2704, 2, 2),
-    (2, 3273, 3, 2),
-    (3, 4880, 2, 3),
-    (4, 6537, 3, 3),
-    (5, 7106, 4, 3),
-    (6, 7675, 5, 3),
-    (7, 11458, 4, 4),
-    (8, 13115, 5, 4),
-    (9, 13684, 6, 4),
-    (10, 14253, 7, 4),
-)
-
-
-def brute_force_model_choice(n: int) -> int:
-    """Recompute the processor-minimizing model's candidate set and
-    scores from scratch, for n >= 3275."""
-    if n < 3275:
-        raise ValueError("model choice needs n >= 3275")
-
-    def ceil_log3(x: int) -> int:
-        h, p = 0, 1
-        while p < x:
-            p *= 3
-            h += 1
-        return h
-
-    def ceil_div(a: int, b: int) -> int:
-        return (a + b - 1) // b
-
-    target = ceil_log3(ceil_div(n, 3273)) + 2
-    scored = []
-    for mid, n_mb, n_p, t_units in SUBTREE_TABLE:
-        parts = ceil_div(n, n_mb)
-        if ceil_log3(parts) + t_units == target:
-            scored.append((parts * n_p, mid))
-    return min(scored)[1]
-
-
-@_suite
-def suite_select_model(samples: int = 60):
-    rng = random.Random(_SEED + 2)
-    ns = [3275, 9819, 13115, 29457] + \
-        [rng.randrange(3275, 10 ** 6) for _ in range(samples)]
-    for n in ns:
-        if planner.select_model(n) != brute_force_model_choice(n):
-            return False, "disagreement at n=%d" % n
-    return True, "%d samples" % len(ns)
-
-
 def run_all(quick: bool = False, vectors: list | None = None) -> list:
     """Run every suite; returns [(name, ok, detail), ...]."""
     scale = 1 if not quick else 0
@@ -274,13 +167,10 @@ def run_all(quick: bool = False, vectors: list | None = None) -> list:
         ("shake-vectors", *suite_shake_vectors(vectors)),
         ("batched-kernel", *(suite_batched_kernel() if scale
                              else suite_batched_kernel((2, 3, 17)))),
-        ("model-table", *suite_model_table()),
         ("ternary-sweep", *suite_ternary_sweep(40 if scale else 8)),
         ("compacted-sweep", *suite_compacted_sweep(40 if scale else 8)),
         ("differential", *suite_differential(50 if scale else 10)),
         ("tree-digests", *(suite_tree_digests() if scale
                            else suite_tree_digests(29457, (512,)))),
-        ("grammar", *suite_grammar(200 if scale else 40)),
-        ("select-model", *suite_select_model(60 if scale else 15)),
     ]
     return results

@@ -73,7 +73,7 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
     if () not in by_index:
         raise GrammarError("plan document has no final hop")
     distinct = len(by_index) == len(rows)
-    root = _hop_from_json(by_index, (), 0)
+    root = _hop_from_json(by_index, (), 0, {})
     if by_index or not distinct:
         raise GrammarError("plan document has unreachable hops")
     if root.message_bits != message_bits:
@@ -82,15 +82,20 @@ def _hops_from_json(rows: list, message_bits: int) -> HopTree:
     return HopTree(root)
 
 
-def _hop_from_json(by_index: dict, index: tuple, at: int):
+def _hop_from_json(by_index: dict, index: tuple, at: int, hops: dict):
     """Pop the row at `index` of `by_index` and its subtree's rows; return
-    its hop, whose message starts at bit `at`."""
+    its hop, whose message starts at bit `at`.  Equal subtrees are one
+    object: `hops` maps each length, and each (children's identities,
+    flags), to the hop built for it."""
     row = by_index.pop(index)
     if row["kind"] == "message":
         if _field(row, "offset_bits", int) != at:
             raise GrammarError("hop %r: offset_bits is not %d, the sum of "
                                "the lengths before it" % (list(index), at))
-        return MessageHop(_field(row, "length_bits", int))
+        length = _field(row, "length_bits", int)
+        if length not in hops:
+            hops[length] = MessageHop(length)
+        return hops[length]
     if row["kind"] != "chaining":
         raise GrammarError("unknown hop kind %r" % row["kind"])
     children = []
@@ -98,12 +103,13 @@ def _hop_from_json(by_index: dict, index: tuple, at: int):
         child_index = index + (i,)
         if child_index not in by_index:
             raise GrammarError("hop %r is missing child %d" % (index, i))
-        children.append(_hop_from_json(by_index, child_index, at))
+        children.append(_hop_from_json(by_index, child_index, at, hops))
         at += children[-1].message_bits
-    return ChainingHop(
-        tuple(children),
-        kangaroo_first=_field(row, "kangaroo_first_child", bool),
-        aligned=_field(row, "aligned", bool))
+    key = (tuple(map(id, children)), _field(row, "kangaroo_first_child", bool),
+           _field(row, "aligned", bool))
+    if key not in hops:
+        hops[key] = ChainingHop(tuple(children), *key[1:])
+    return hops[key]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles, with its
 own data tables and its own arithmetic, so agreement with the package is
-meaningful.
+meaningful.  Two exceptions only check the package's own output and are
+read by tests alone: the grammar parser, which reads node layouts back,
+and `max_single_kangaroo`, a recipe built from the planner's capacity
+rule that no strategy plans.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ import networkx as nx
 
 from parashake import keccak
 from parashake.bits import BitString
-from parashake.errors import TooManyChainingValues
+from parashake.errors import GrammarError, TooManyChainingValues
+from parashake.planner import (_fill, _kangaroo_caps, _message_slots,
+                               _own_capacity)
 from parashake.sakura import (CV_BITS, MAX_CVS, RATE_BITS, ChainingHop,
-                              FrameBits, HopTree, NodeTree)
+                              CVSlot, FrameBits, HopTree, MessageBits,
+                              MessageHop, NodeLayout, NodeTree,
+                              validate_node_tree)
 from parashake.scheduler import NodeTiming, Schedule
-# the model-choice brute force, with its own table, is the selftest's
-from parashake.selftest import brute_force_model_choice  # noqa: F401
+from parashake.sponge import inner_f, xof_output
 
 # ---------------------------------------------------------------------------
 # Bit-level Keccak-f[1600], following the step mappings over A[x][y][z].
@@ -162,13 +168,14 @@ def rawshake_cost(message_bits: int, digest_bits: int) -> int:
 
 
 def from01(text: str) -> BitString:
-    value = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            value |= 1 << i
-        elif ch != "0":
-            raise ValueError("invalid bit character %r" % ch)
-    return BitString(value, len(text))
+    if not set(text) <= {"0", "1"}:
+        raise ValueError("invalid bit characters in %r" % text)
+    return BitString(int(text[::-1] or "0", 2), len(text))
+
+
+def to01(value: int, width: int) -> str:
+    """The low `width` bits of `value`, least significant first."""
+    return format(value, "0%db" % width)[::-1] if width else ""
 
 
 def frame(text: str) -> FrameBits:
@@ -178,13 +185,247 @@ def frame(text: str) -> FrameBits:
 
 def text01(seg: FrameBits) -> str:
     """The inverse of `frame`."""
-    return "".join(str(seg.value >> i & 1) for i in range(seg.length))
+    return to01(seg.value, seg.length)
 
 
 def is_pad(seg) -> bool:
     """Whether `seg` is an alignment pad '1 0^z' with z >= 1.  With z = 0
     it is the '1' that also opens every chaining hop not aligned."""
     return isinstance(seg, FrameBits) and seg.value == 1 and seg.length > 1
+
+
+# ---------------------------------------------------------------------------
+# The tree coding, written from its rules (Sakura, ePrint 2013/231, with
+# kangaroo hopping as in KangarooTwelve, ePrint 2016/770).  A node is a
+# '0'/'1' string built by recursion on the hop tree; nothing here reads a
+# node layout.
+#
+# * A node holds a kangaroo chain: its first hop (a message hop, or a
+#   chaining hop that absorbs no child), then each chaining hop whose
+#   child 1 is the chain so far.
+# * A message hop is its message bits, then '1'.
+# * A chaining hop is the chaining values of its other children, in order,
+#   then the coded count: the count byte, a length byte of 1 (bytes least
+#   significant bit first), sixteen '1's for no interleaving, then '0'.
+# * Each chaining hop but a node's first is preceded by '1 0^z'.  z is 0
+#   unless the hop is aligned; then the hop, and the node's closing bits
+#   if it is the last hop, end flush on a rate boundary.
+# * A node closes with '1' if final and '10' if inner, the suffix '11' and
+#   the pad '1 0^z 1' up to a rate boundary.
+# * The message is read in stream order: a node's own message hop, then
+#   the subtrees of its chaining values, innermost hop first.
+# * A chaining value is the first 512 bits of the state that absorbed an
+#   inner node.
+
+
+def sakura_node(anchor, is_final: bool, message: str, at: int = 0) -> tuple:
+    """The bits of the node whose kangaroo chain ends at hop `anchor`,
+    its message hop read from bit `at` of `message`, a '0'/'1' string.
+    Returns them and the bit after the subtree's message."""
+    chain = [anchor]
+    while isinstance(chain[-1], ChainingHop) and chain[-1].kangaroo_first:
+        chain.append(chain[-1].children[0])
+    chain.reverse()
+    bits = ""
+    if isinstance(chain[0], MessageHop):
+        bits = message[at:at + chain[0].length] + "1"
+        at += chain[0].length
+        chain.pop(0)
+    closing = ("1" if is_final else "10") + "11" + "1"
+    for i, hop in enumerate(chain):
+        values = hop.children[1:] if hop.kangaroo_first else hop.children
+        hop_bits = ""
+        for child in values:
+            child_bits, at = sakura_node(child, False, message, at)
+            cv, _ = inner_f(from01(child_bits))
+            hop_bits += to01(cv.value, CV_BITS)
+        hop_bits += to01(len(values), 8) + to01(1, 8) + "1" * 16 + "0"
+        if bits:
+            end = len(bits) + 1 + len(hop_bits)
+            if i == len(chain) - 1:
+                end += len(closing) + 1
+            bits += "1" + "0" * (-end % RATE_BITS if hop.aligned else 0)
+        bits += hop_bits
+    bits += closing
+    return bits + "0" * (-(len(bits) + 1) % RATE_BITS) + "1", at
+
+
+def sakura_final_node(tree: HopTree, message: BitString) -> BitString:
+    """The final node of `tree` over `message`, chaining values filled."""
+    bits, end = sakura_node(tree.root, True, to01(message.value,
+                                                  len(message)))
+    if end != len(message):
+        raise ValueError("the tree reads %d of %d message bits"
+                         % (end, len(message)))
+    return from01(bits)
+
+
+def sakura_digest(tree: HopTree, message: BitString,
+                  out_bits: int) -> BitString:
+    return xof_output(sakura_final_node(tree, message), out_bits)[0]
+
+
+# ---------------------------------------------------------------------------
+# The grammar parser: reads a node layout back under the coding rules.
+
+
+def validate_grammar(node: NodeLayout) -> tuple[bool, str]:
+    """Parse the node right to left under the tree coding rules.
+
+    Returns (ok, diagnosis).  Frame bits are checked exactly: markers,
+    suffix, multi-rate pad, alignment pads, the coded chaining-value
+    count against the actual slot count, and the interleaving marker.
+    """
+    frame = mask = 0        # the frame bits, and which positions they fill
+    messages, cvs = {}, {}  # end position -> start of each such segment
+    p = 0
+    for seg in node.segments:
+        if isinstance(seg, MessageBits):
+            messages[p + seg.length] = p
+        elif isinstance(seg, CVSlot):
+            cvs[p + seg.length] = p
+        elif isinstance(seg, FrameBits):
+            frame |= seg.value << p
+            mask |= ((1 << seg.length) - 1) << p
+        else:
+            raise TypeError("unknown segment %r" % (seg,))
+        p += seg.length
+    stops = frame | mask ^ ((1 << p) - 1)   # every bit but a frame '0'
+    # p counts the bits not yet read; the next one read is bit p - 1
+
+    def fail(msg: str):
+        raise GrammarError(msg)
+
+    def take_frame(expect: int | None = None) -> int:
+        nonlocal p
+        if p <= 0 or not mask >> (p - 1) & 1:
+            fail("expected a frame bit")
+        p -= 1
+        bit = frame >> p & 1
+        if expect is not None and bit != expect:
+            fail("frame bit '%d' where '%d' was required" % (bit, expect))
+        return bit
+
+    def skip_zeros() -> None:
+        nonlocal p
+        p = (stops & ((1 << p) - 1)).bit_length()
+
+    try:
+        # backwards: the multi-rate pad '1 0^z 1', the suffix '11' and the
+        # node marker ('1' final, '10' inner)
+        take_frame(1)
+        skip_zeros()
+        for expect in (1, 1, 1, 1) if node.is_final else (1, 1, 1, 0, 1):
+            take_frame(expect)
+        # hops
+        while True:
+            if p <= 0:
+                fail("node has no hops")
+            if not mask >> (p - 1) & 1:
+                fail("unexpected %s token inside frame position"
+                     % ("m" if p in messages else "c"))
+            if take_frame():
+                p = messages.get(p, p)  # message hop terminator, message
+                if p > 0:
+                    fail("message hop is not at the start of the node")
+                break
+            if p < 32 or mask >> (p - 32) & 0xFFFFFFFF != 0xFFFFFFFF:
+                fail("expected a frame bit")
+            p -= 32
+            coded = frame >> p & 0xFFFFFFFF
+            count = coded & 0xFF
+            if coded >> 16 != 0xFFFF:
+                fail("bad interleaving marker")
+            if coded >> 8 & 0xFF != 1:
+                fail("bad coded-count length byte")
+            if not 1 <= count <= MAX_CVS:
+                fail("coded chaining-value count out of range")
+            got = 0
+            while p in cvs:
+                p = cvs.pop(p)      # popped: a zero-length slot ends the loop
+                got += 1
+            if got != count:
+                fail("coded count %d disagrees with %d slots" % (count, got))
+            if p <= 0:
+                break               # chaining hop opens the node
+            skip_zeros()
+            take_frame(1)           # pad before this hop
+    except GrammarError as exc:
+        return False, str(exc)
+    return True, "ok"
+
+
+def validate_tree(tree: NodeTree, fragment: bool = False) -> tuple:
+    """`validate_node_tree`, after parsing every node with
+    `validate_grammar`; (ok, diagnosis)."""
+    for nid, node in enumerate(tree.nodes):
+        ok, why = validate_grammar(node)
+        if not ok:
+            return False, "node %d: %s" % (nid, why)
+    return validate_node_tree(tree, fragment)
+
+
+# ---------------------------------------------------------------------------
+# The subtree catalogue and the model choice, from the paper's table.
+
+
+# (id, message bits, processors, time units), the paper's subtree table
+# written out here, not read from the planner
+SUBTREE_TABLE = (
+    (0, 2169, 1, 2),
+    (1, 2704, 2, 2),
+    (2, 3273, 3, 2),
+    (3, 4880, 2, 3),
+    (4, 6537, 3, 3),
+    (5, 7106, 4, 3),
+    (6, 7675, 5, 3),
+    (7, 11458, 4, 4),
+    (8, 13115, 5, 4),
+    (9, 13684, 6, 4),
+    (10, 14253, 7, 4),
+)
+
+
+def brute_force_model_choice(n: int) -> int:
+    """Recompute the processor-minimizing model's candidate set and
+    scores from scratch, for n >= 3275."""
+    if n < 3275:
+        raise ValueError("model choice needs n >= 3275")
+
+    def ceil_log3(x: int) -> int:
+        h, p = 0, 1
+        while p < x:
+            p *= 3
+            h += 1
+        return h
+
+    def ceil_div(a: int, b: int) -> int:
+        return (a + b - 1) // b
+
+    target = ceil_log3(ceil_div(n, 3273)) + 2
+    scored = []
+    for mid, n_mb, n_p, t_units in SUBTREE_TABLE:
+        parts = ceil_div(n, n_mb)
+        if ceil_log3(parts) + t_units == target:
+            scored.append((parts * n_p, mid))
+    return min(scored)[1]
+
+
+def max_single_kangaroo(k: int, as_final: bool = False) -> tuple:
+    """Maximize message bits through one kangaroo hop in a node of k
+    blocks.
+
+    Chaining values pack the tail of the node, as many as start past its
+    first block (at most MAX_CVS); each comes from the full message-only
+    leaf `_kangaroo_caps` puts behind it.  Returns (root hop, total
+    message bits)."""
+    if k < 2:
+        raise ValueError("the node must span at least 2 blocks")
+    # most values with _own_capacity(k, n) >= RATE_BITS, CV_BITS per value
+    n_cv = min(MAX_CVS, (_own_capacity(k, 1) - RATE_BITS) // CV_BITS + 1)
+    caps = _kangaroo_caps(k, n_cv)
+    total = sum(caps) + as_final
+    return _fill(total, _message_slots(caps, as_final)), total
 
 
 # ---------------------------------------------------------------------------

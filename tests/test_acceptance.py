@@ -9,7 +9,8 @@ import random
 import time
 
 from oracles import (brute_force_model_choice, node_bit_cost,
-                     random_topological_order, text01)
+                     random_topological_order, text01, validate_grammar,
+                     validate_tree)
 from parashake import planner, scheduler
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
@@ -18,8 +19,7 @@ from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                select_model)
 from parashake.sakura import (ChainingHop, FrameBits, HopTree,
                               MessageHop, NodeLayout,
-                              map_hop_tree_to_node_tree, validate_grammar,
-                              validate_node_tree)
+                              map_hop_tree_to_node_tree)
 from parashake.scheduler import simulate, validate_happens_before
 from parashake.sponge import shake256
 
@@ -247,7 +247,7 @@ def test_criterion_8_grammar_robustness():
              planner.plan("single", 0)]
     nodes = []
     for plan in plans:
-        ok, why = validate_node_tree(plan.node_tree)
+        ok, why = validate_tree(plan.node_tree)
         assert ok, (plan.strategy, why)
         nodes.extend(plan.node_tree.nodes)
     mutations = 1000

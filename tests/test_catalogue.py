@@ -1,20 +1,22 @@
 """The subtree catalogue and the subtree builders, pinned by value.
 
-Every `MODELS` row must match `selftest.SUBTREE_TABLE` and the paper's
-child distributions written out below.  One SHA-256 covers the hop rows,
-as a plan document writes them, of `build_model_subtree(m, L, final)`
-for every model, both roles and every slice length L up to the model's
-capacity, and of `max_single_kangaroo(k, final)` with its total for
-k = 2..130 (the chaining-value count reaches MAX_CVS at k = 122), so any
-change to a hop these builders lay out shows.  Each message hop must
-start where the ones before it in stream order end.
+Every `MODELS` row must match the paper's subtree table
+(`oracles.SUBTREE_TABLE`) and its child distributions, written out below.
+One SHA-256 covers the hop rows, as a plan document writes them, of
+`build_model_subtree(m, L, final)` for every model, both roles and every
+slice length L up to the model's capacity, and of
+`oracles.max_single_kangaroo(k, final)`, a recipe that no strategy plans,
+with its total for k = 2..130 (the chaining-value count reaches MAX_CVS
+at k = 122), so any change to a hop these builders lay out shows.  Each
+message hop must start where the ones before it in stream order end.
 """
 
 import hashlib
 import json
 
-from parashake import selftest, treeio
-from parashake.planner import MODELS, build_model_subtree, max_single_kangaroo
+from oracles import SUBTREE_TABLE, max_single_kangaroo
+from parashake import treeio
+from parashake.planner import MODELS, build_model_subtree
 from parashake.sakura import HopTree
 
 # (message bits of each child hop, the first absorbed into the root node)
@@ -37,9 +39,8 @@ BUILDERS_SHA256 = (
 
 
 def test_models_are_the_papers_table():
-    assert len(MODELS) == len(selftest.SUBTREE_TABLE) == len(DISTRIBUTIONS)
-    for model, row, dist in zip(MODELS, selftest.SUBTREE_TABLE,
-                                DISTRIBUTIONS):
+    assert len(MODELS) == len(SUBTREE_TABLE) == len(DISTRIBUTIONS)
+    for model, row, dist in zip(MODELS, SUBTREE_TABLE, DISTRIBUTIONS):
         assert (model.id, model.message_bits, model.processors,
                 model.time_units) == row
         assert model.distribution == dist

@@ -3,6 +3,7 @@ and both executors."""
 
 import pytest
 
+from oracles import validate_tree
 from parashake import planner
 from parashake.bits import BitString
 from parashake.errors import DependencyCycleError
@@ -65,7 +66,7 @@ def test_one_dependency_walk_per_node(monkeypatch, rng):
     monkeypatch.setattr(NodeLayout, "cv_positions", counted)
     tree = planner.plan("ternary", 9819).node_tree
     message = BitString(rng.getrandbits(9819), 9819)
-    assert validate_node_tree(tree) == (True, "ok")
+    assert validate_tree(tree) == (True, "ok")
     sched = simulate(tree)
     assert validate_happens_before(sched, tree)
     evaluate_parallel(tree, message)

@@ -1,7 +1,9 @@
 """Random hop trees: every tree the mapping accepts validates, schedules
 without a happens-before violation, expands into the launches a brute
 expansion of its schedule gives, hashes to one digest and one call count
-under both executors, and survives a plan-document round trip.
+under both executors, to the digest the coding oracle
+(`oracles.sakura_digest`) derives, and survives a plan-document round
+trip.
 
 `data/hop_tree_digests.json` pins 32 seeded trees, as `sakura-plan/3`
 documents, with their 512-bit digests.  `PYTHONPATH=src python
@@ -18,13 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import is_pad, merge_chains
+from oracles import is_pad, merge_chains, sakura_digest, validate_tree
 from parashake import evaluate, treeio
 from parashake.bits import BitString
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
 from parashake.planner import Plan, PlanReport
 from parashake.sakura import (ChainingHop, HopTree, MessageHop,
-                              map_hop_tree_to_node_tree, validate_node_tree)
+                              map_hop_tree_to_node_tree)
 from parashake.scheduler import launches, simulate, validate_happens_before
 
 PINNED = pathlib.Path(__file__).parent / "data" / "hop_tree_digests.json"
@@ -90,7 +92,7 @@ def check_tree(tree: HopTree, out_bits: int) -> str:
     """Assert every property of the module docstring; returns the digest
     of the tree's seeded message in hex."""
     nodes = map_hop_tree_to_node_tree(tree)
-    ok, why = validate_node_tree(nodes)
+    ok, why = validate_tree(nodes)
     assert ok, why
     schedule = simulate(nodes, out_bits)
     assert validate_happens_before(schedule, nodes)
@@ -98,7 +100,7 @@ def check_tree(tree: HopTree, out_bits: int) -> str:
     message = BitString(random.Random(n).getrandbits(n), n)
     seq = evaluate_sequential(nodes, message, out_bits)
     par = evaluate_parallel(nodes, message, out_bits, schedule=schedule)
-    assert seq.bits == par.bits
+    assert seq.bits == par.bits == sakura_digest(tree, message, out_bits)
     assert seq.total_calls == par.total_calls == schedule.total_calls
     assert treeio.load_plan(_document(tree)).node_tree == nodes
     return seq.hex()

@@ -5,16 +5,17 @@ import dataclasses
 
 import pytest
 
-from oracles import brute_force_model_choice, is_pad
+from oracles import (brute_force_model_choice, is_pad, max_single_kangaroo,
+                     validate_tree)
 from parashake import planner, scheduler
 from parashake.errors import MessageTooShortError, NodeCapacityError
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
-                               leaf_idle_slack, max_single_kangaroo, plan,
-                               plan_ternary_with_model, predict, select_model)
+                               leaf_idle_slack, plan, plan_ternary_with_model,
+                               predict, select_model)
 from parashake.planner import LEAF_CAPACITY
 from parashake.sakura import (ChainingHop, HopTree, MessageHop, encode_node,
-                              map_hop_tree_to_node_tree, validate_node_tree)
+                              map_hop_tree_to_node_tree)
 from parashake.sponge import RATE_BITS
 
 
@@ -67,7 +68,7 @@ def test_model_subtrees_simulate_to_table():
         assert sched.processors == m.processors
         assert max(t.finish for t in sched.timings) == m.time_units
         assert sched.total_stalls == 0
-        ok, why = validate_node_tree(tree, fragment=True)
+        ok, why = validate_tree(tree, fragment=True)
         assert ok, why
 
 
@@ -145,7 +146,7 @@ def test_ternary_depth_formula_sweep(rng):
         assert s.depth == ceil_log3_ratio(n, 3273) + 2, n
         assert p.report.node_count <= 3 * -(-n // 3273), n
         assert s.total_stalls == 0, n
-        ok, why = validate_node_tree(p.node_tree)
+        ok, why = validate_tree(p.node_tree)
         assert ok, (n, why)
 
 
@@ -302,7 +303,7 @@ def test_compacted_sweep(rng):
         assert p.report.node_count <= 3 * -(-(n + 31) // 3305), n
         assert s.total_stalls == 0, n
         assert scheduler.validate_happens_before(s, p.node_tree)
-        ok, why = validate_node_tree(p.node_tree)
+        ok, why = validate_tree(p.node_tree)
         assert ok, (n, why)
 
 
@@ -417,7 +418,7 @@ def test_recipe_depth_equals_k(rng):
         assert tree.message_bits == total
         assert max(t.finish for t in sched.timings) == k
         assert sched.total_stalls == 0
-        ok, why = validate_node_tree(tree, fragment=True)
+        ok, why = validate_tree(tree, fragment=True)
         assert ok, why
 
 

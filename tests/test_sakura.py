@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import frame, is_pad, merge_chains, node_bit_cost, text01
+from oracles import (frame, is_pad, max_single_kangaroo, merge_chains,
+                     node_bit_cost, text01, validate_grammar, validate_tree)
 from parashake import planner
 from parashake.errors import GrammarError, TooManyChainingValues
 from parashake.sakura import (ChainingHop, CVSlot, FrameBits,
                               HopTree, MessageBits, MessageHop, NodeLayout,
                               NodeTree, chaining_frame_bits, encode_node,
-                              iter_hops, map_hop_tree_to_node_tree,
-                              validate_grammar, validate_node_tree)
+                              iter_hops, map_hop_tree_to_node_tree)
 
 
 def tail_fill_zeros(node: NodeLayout) -> int:
@@ -224,7 +224,7 @@ def test_mapping_is_deterministic():
 def test_ternary_tree_maps_to_27_nodes():
     plan = planner.plan("ternary", 29457)
     assert plan.node_tree.node_count == 27
-    ok, why = validate_node_tree(plan.node_tree)
+    ok, why = validate_tree(plan.node_tree)
     assert ok, why
 
 
@@ -232,7 +232,7 @@ def test_compacted_mapping_single_chain_hop_per_node():
     plan = planner.plan("ternary", 29457)
     compacted = map_hop_tree_to_node_tree(merge_chains(plan.hop_tree))
     assert compacted.node_count == plan.node_tree.node_count
-    ok, why = validate_node_tree(compacted)
+    ok, why = validate_tree(compacted)
     assert ok, why
     for node in compacted.nodes:
         frames = [s for s in node.segments if isinstance(s, FrameBits)]
@@ -247,13 +247,13 @@ def test_message_coverage_is_checked():
     root = encode_node(MessageHop(100),
                        [ChainingHop((MessageHop(100), MessageHop(100)))],
                        is_final=True, producer_ids=[0])
-    ok, why = validate_node_tree(NodeTree((leaf, root), 150))
+    ok, why = validate_tree(NodeTree((leaf, root), 150))
     assert not ok and "overlap" in why
-    ok, why = validate_node_tree(NodeTree((leaf, root), 200))
+    ok, why = validate_tree(NodeTree((leaf, root), 200))
     assert not ok and "overlap" in why
     leaf = encode_node(MessageHop(100), offset=100)
-    assert validate_node_tree(NodeTree((leaf, root), 200)) == (True, "ok")
-    ok, why = validate_node_tree(NodeTree((leaf, root), 250))
+    assert validate_tree(NodeTree((leaf, root), 200)) == (True, "ok")
+    ok, why = validate_tree(NodeTree((leaf, root), 250))
     assert not ok and "covers 200 of 250" in why
 
 
@@ -370,8 +370,8 @@ def test_zero_length_cv_slot_is_read_once():
 
 
 def test_fragment_trees_validate():
-    root, total = planner.max_single_kangaroo(3)
+    root, total = max_single_kangaroo(3)
     nt = map_hop_tree_to_node_tree(HopTree(root), root_final=False)
     assert nt.message_bits == total
-    ok, why = validate_node_tree(nt, fragment=True)
+    ok, why = validate_tree(nt, fragment=True)
     assert ok, why

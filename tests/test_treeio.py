@@ -2,12 +2,16 @@
 
 import gc
 import json
+import random
 
 import pytest
 
 from parashake import planner, scheduler, treeio
+from parashake.bits import BitString
 from parashake.errors import GrammarError
-from parashake.sakura import map_hop_tree_to_node_tree
+from parashake.evaluate import evaluate_parallel, evaluate_sequential
+from parashake.sakura import (iter_hops, map_hop_tree_to_node_tree,
+                              validate_node_tree)
 
 
 def test_plan_roundtrip_is_byte_identical():
@@ -32,6 +36,18 @@ def test_loaded_plan_equals_original():
             assert loaded.node_tree == plan.node_tree, (strategy, n)
             assert loaded.report == plan.report, (strategy, n)
             assert treeio.dump_plan(loaded) == text, (strategy, n)
+
+
+def _distinct_hops(tree) -> int:
+    return len({id(hop) for _, hop in iter_hops(tree)})
+
+
+@pytest.mark.parametrize("strategy", planner.STRATEGIES)
+def test_loaded_plan_shares_equal_subtrees(strategy):
+    plan = planner.plan(strategy, 10 ** 6)
+    loaded = treeio.load_plan(treeio.dump_plan(plan)).hop_tree
+    assert loaded == plan.hop_tree
+    assert _distinct_hops(loaded) <= _distinct_hops(plan.hop_tree)
 
 
 def test_plan_document_shape():
@@ -121,18 +137,27 @@ def test_vector_loader():
 
 @pytest.mark.parametrize("strategy, n", (("ternary", 29457),
                                          ("compacted", 10**5),
-                                         ("compacted-relaxed", 10**5)))
+                                         ("compacted-relaxed", 10**5),
+                                         ("single", 29457)))
 def test_planning_and_loading_leave_no_reference_cycles(strategy, n):
     # with the collector off, whatever the calls leave unreachable stays
-    # until gc.collect(), which reports how much it freed
+    # until gc.collect(), which reports how much it freed; the calls are
+    # those of planning, `analyze` and `hash`, and both executors
     text = treeio.dump_plan(planner.plan(strategy, n))
+    message = BitString(random.Random(n).getrandbits(n), n)
     gc.collect()
     gc.disable()
     try:
         plan = planner.plan(strategy, n)
         map_hop_tree_to_node_tree(plan.hop_tree)
-        treeio.load_plan(text)
-        del plan
+        tree = treeio.load_plan(text).node_tree
+        assert validate_node_tree(tree) == (True, "ok")
+        schedule = scheduler.simulate(tree)
+        assert scheduler.validate_happens_before(schedule, tree)
+        digest = evaluate_sequential(tree, message)
+        assert evaluate_parallel(tree, message, schedule=schedule) == digest
+        assert evaluate_parallel(tree, message) == digest
+        del plan, tree, schedule, digest
         assert gc.collect() == 0
     finally:
         gc.enable()
