@@ -240,7 +240,7 @@ def sakura_node(anchor, is_final: bool, message: str, at: int = 0) -> tuple:
             cv, _ = inner_f(from01(child_bits))
             hop_bits += to01(cv.value, CV_BITS)
         hop_bits += to01(len(values), 8) + to01(1, 8) + "1" * 16 + "0"
-        if bits:
+        if bits:                        # not the node's first hop
             end = len(bits) + 1 + len(hop_bits)
             if i == len(chain) - 1:
                 end += len(closing) + 1
