@@ -6,8 +6,10 @@ hashing the same message generally produce different digests.  Within a
 fixed tree, the digest is independent of evaluation order.
 
 Both executors assemble each node's f-input with `materialize_node`,
-once per node.  The message is converted to bytes once per evaluation;
-a message segment is read as the byte window that holds it, and frame
+once per node, from the node's layout and what the node tree holds for
+it: where its message starts and which nodes produce its chaining
+values.  The message is converted to bytes once per evaluation; a
+message segment is read as the byte window that holds it, and frame
 bits are integers stored on their segments, so assembly is linear in the
 tree's size.
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from . import keccak, scheduler
 from .bits import BitString
 from .errors import DependencyCycleError, SliceRangeError
-from .sakura import CVSlot, FrameBits, MessageBits, NodeLayout, NodeTree
+from .sakura import FrameBits, MessageBits, NodeTree
 from .sponge import (CV_BITS, RATE_BITS, check_out_bits, inner_f, squeeze,
                      xof_output)
 
@@ -55,35 +57,29 @@ class Digest:
         return self.bits.hex()
 
 
-def materialize_node(node: NodeLayout, data: bytes, message_bits: int,
+def materialize_node(tree: NodeTree, nid: int, data: bytes,
                      values: dict) -> BitString:
-    """Assemble the node's bit stream from its segments.
-
-    `data` is the `message_bits`-bit message as bytes.  A chaining-value
-    slot whose producer is not in `values` is left zero.
-    """
-    acc = 0
-    pos = 0
-    for seg in node.segments:
+    """Assemble node `nid`'s bit stream; `data` is the tree's message as
+    bytes.  A chaining-value slot whose producer is not in `values` is
+    left zero."""
+    acc = pos = 0
+    offset = tree.offsets[nid]
+    for seg in tree.nodes[nid].segments:
         if isinstance(seg, MessageBits):
-            end = seg.offset + seg.length
-            if end > message_bits:
+            end = offset + seg.length
+            if end > tree.message_bits:
                 raise SliceRangeError(
                     "slice [%d, %d) beyond the %d-bit message"
-                    % (seg.offset, end, message_bits))
-            window = int.from_bytes(data[seg.offset >> 3:(end + 7) >> 3],
+                    % (offset, end, tree.message_bits))
+            window = int.from_bytes(data[offset >> 3:(end + 7) >> 3],
                                     "little")
-            acc |= (window >> (seg.offset & 7)
-                    & ((1 << seg.length) - 1)) << pos
-        elif isinstance(seg, CVSlot):
-            cv = values.get(seg.producer)
-            if cv is not None:
-                acc |= cv.value << pos
+            acc |= (window >> (offset & 7) & ((1 << seg.length) - 1)) << pos
         elif isinstance(seg, FrameBits):
             acc |= seg.value << pos
-        else:
-            raise TypeError("unknown segment %r" % (seg,))
         pos += seg.length
+    for _, producer, at in tree.deps[nid]:
+        if producer in values:
+            acc |= values[producer].value << at
     return BitString(acc, pos)
 
 
@@ -127,9 +123,8 @@ def evaluate_sequential(tree: NodeTree, message: BitString,
     values = {}
     calls = 0
     for nid in _check_order(tree, order):
-        node = tree.nodes[nid]
-        bits = materialize_node(node, data, len(message), values)
-        if node.is_final:
+        bits = materialize_node(tree, nid, data, values)
+        if tree.nodes[nid].is_final:
             values[nid], used = xof_output(bits, out_bits)
         else:
             values[nid], used = inner_f(bits)
@@ -186,8 +181,8 @@ def evaluate_parallel(tree: NodeTree, message: BitString,
         blocks = []
         for nid, block, count in launch:
             if not block:
-                inputs[nid] = bytearray(materialize_node(
-                    nodes[nid], data, len(message), {}).to_bytes())
+                inputs[nid] = bytearray(
+                    materialize_node(tree, nid, data, {}).to_bytes())
             buf = inputs[nid]
             for b, producer, pos in deps[nid]:
                 if block <= b < block + count:

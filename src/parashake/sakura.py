@@ -22,17 +22,19 @@ Layout conventions:
   pad it flush against the end of a fresh rate block, so each one is
   absorbed by a single permutation call.
 
-`encode_node` is the one writer of this coding, and `validate_node_tree`
-checks only how nodes fit into a tree.  The coding's checks live in
-`tests/oracles.py`: a parser that reads node layouts back, and an oracle
-that re-derives every node's bits from the rules above.
+`encode_node` is the one writer of this coding.  A layout depends on its
+chain and role alone; the node tree holds where each node's message
+starts and which nodes produce its values, so the mapping lays out each
+distinct chain once.  `validate_node_tree` checks only how nodes fit
+into a tree.  The coding's checks live in `tests/oracles.py`: a parser
+that reads node layouts back, and an oracle that re-derives every
+node's bits from the rules above.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
 
 from .errors import (BlockAlignmentError, DependencyCycleError, GrammarError,
                      SliceRangeError, TooManyChainingValues)
@@ -128,7 +130,6 @@ def iter_hops(tree: HopTree):
 
 @dataclass(frozen=True)
 class MessageBits:
-    offset: int
     length: int
 
 
@@ -141,7 +142,6 @@ class FrameBits:
 
 @dataclass(frozen=True)
 class CVSlot:
-    producer: int = -1
     length: int = CV_BITS
 
 
@@ -165,27 +165,24 @@ class NodeLayout:
         return self.total_bits // RATE_BITS
 
     def cv_positions(self):
-        """Yield (bit_position, producer) for every chaining-value slot."""
+        """Yield the bit position of every chaining-value slot."""
         pos = 0
         for seg in self.segments:
             if isinstance(seg, CVSlot):
-                yield pos, seg.producer
-            pos += seg.length
-
-    def message_slices(self):
-        pos = 0
-        for seg in self.segments:
-            if isinstance(seg, MessageBits):
-                yield pos, seg.offset, seg.length
+                yield pos
             pos += seg.length
 
 
 @dataclass(frozen=True)
 class NodeTree:
     """Topologically ordered nodes; in a complete plan the final node is
-    last.  Fragments (inner-rooted subtrees) have no final node."""
+    last.  Fragments (inner-rooted subtrees) have no final node.  Node i
+    reads its message from bit `offsets[i]`, and its chaining-value slots
+    hold the values of the nodes `producers[i]`, in slot order."""
     nodes: tuple
     message_bits: int
+    offsets: tuple
+    producers: tuple
 
     @property
     def node_count(self) -> int:
@@ -197,13 +194,22 @@ class NodeTree:
         chaining-value slot, in slot order.  A value spanning several blocks
         binds at the first block it touches; its later blocks are absorbed
         afterwards anyway.
-        Raises `DependencyCycleError` unless every producer is an earlier
-        node.
+        Raises `DependencyCycleError` unless every node has one offset
+        and one producer per slot, and every producer is an earlier node.
         """
+        sizes = tuple(map(len, (self.nodes, self.offsets, self.producers)))
+        if len(set(sizes)) > 1:
+            raise DependencyCycleError(
+                "%d nodes, %d offsets, %d producer lists" % sizes)
         index = []
-        for nid, node in enumerate(self.nodes):
+        for nid, (node, ids) in enumerate(zip(self.nodes, self.producers)):
+            positions = tuple(node.cv_positions())
+            if len(positions) != len(ids):
+                raise DependencyCycleError(
+                    "node %d has %d producers for %d chaining-value slots"
+                    % (nid, len(ids), len(positions)))
             slots = []
-            for pos, producer in node.cv_positions():
+            for pos, producer in zip(positions, ids):
                 if not (isinstance(producer, int) and 0 <= producer < nid):
                     raise DependencyCycleError(
                         "node %d consumes value of node %r, "
@@ -216,16 +222,12 @@ class NodeTree:
 # ---------------------------------------------------------------------------
 # Node encoding
 
-def encode_node(first, chain=(), is_final: bool = False,
-                producer_ids=None, offset: int = 0) -> NodeLayout:
+def encode_node(first, chain=(), is_final: bool = False) -> NodeLayout:
     """Lay out one node from a kangaroo chain, in stream order.
 
-    `first` is the node's first hop (a message hop reads from bit
-    `offset`); `chain` holds the subsequent chaining hops, outermost last.
-    `producer_ids` holds one node id per chaining-value slot, in order;
-    None gives placeholders, and any other count raises `GrammarError`.
-    Each hop flagged `aligned` is packed flush against the end of a fresh
-    rate block.
+    `first` is the node's first hop; `chain` holds the subsequent
+    chaining hops, outermost last.  Each hop flagged `aligned` is packed
+    flush against the end of a fresh rate block.
     """
     hops = list(chain)
     for hop in hops:
@@ -238,7 +240,7 @@ def encode_node(first, chain=(), is_final: bool = False,
     if isinstance(first, MessageHop):
         segs = []
         if first.length:
-            segs.append(MessageBits(offset, first.length))
+            segs.append(MessageBits(first.length))
         segs.append(FrameBits(1, 1))
         pos = first.length + 1
     elif not isinstance(first, ChainingHop):
@@ -248,8 +250,6 @@ def encode_node(first, chain=(), is_final: bool = False,
     else:
         segs, pos = [], 0
         hops.insert(0, first)
-    ids = repeat(-1) if producer_ids is None else iter(producer_ids)
-    slots = 0
     for i, hop in enumerate(hops):
         frame = chaining_frame_bits(hop.n_cv)
         size = hop.n_cv * CV_BITS + frame.length
@@ -260,13 +260,9 @@ def encode_node(first, chain=(), is_final: bool = False,
                 zeros = -end % RATE_BITS
             segs.append(FrameBits(1, 1 + zeros))
             pos += 1 + zeros
-        segs += map(CVSlot, islice(ids, hop.n_cv))
-        slots += hop.n_cv
+        segs += [CVSlot()] * hop.n_cv
         segs.append(frame)
         pos += size
-    if producer_ids is not None and len(producer_ids) != slots:
-        raise GrammarError("%d producer ids for %d chaining-value slots"
-                           % (len(producer_ids), slots))
     z = -(pos + tail) % RATE_BITS
     segs.append(FrameBits(1 | 0b111 << marker | 1 << marker + 3 + z, tail + z))
     return NodeLayout(tuple(segs), is_final)
@@ -283,29 +279,36 @@ def map_hop_tree_to_node_tree(tree: HopTree,
     topologically ordered and the root node comes last.  The message is
     read in stream order: a chain's first hop from the running position,
     then its producers, innermost hop first."""
-    nodes = []
-    _, end = _map_chain(tree.root, root_final, 0, nodes)
-    return NodeTree(tuple(nodes), end)
+    nodes, offsets, producers = [], [], []
+    _, end = _map_chain(tree.root, root_final, 0,
+                        (nodes, offsets, producers, {}))
+    return NodeTree(tuple(nodes), end, tuple(offsets), tuple(producers))
 
 
-def _map_chain(anchor, is_final: bool, at: int, nodes: list) -> tuple:
+def _map_chain(anchor, is_final: bool, at: int, out: tuple) -> tuple:
     """Append the node of the chain ending at `anchor`, whose message
-    starts at bit `at`; return its id and the bit after its subtree."""
+    starts at bit `at`, to the lists of `out`; return its id and the bit
+    after its subtree.  `out`'s dict holds the layout of each (anchor's
+    id, role): a `ChainingHop`'s hash would walk its whole subtree."""
+    nodes, offsets, producers, layouts = out
     hops = [anchor]
     while isinstance(hops[-1], ChainingHop) and hops[-1].kangaroo_first:
         hops.append(hops[-1].children[0])
     hops.reverse()                      # first hop ... anchor
-    start = at
-    producer_ids = []
+    start, ids = at, []
     for hop in hops:
         if isinstance(hop, MessageHop):
             at += hop.length
         else:
             for child in hop.cv_children:
-                nid, at = _map_chain(child, False, at, nodes)
-                producer_ids.append(nid)
-    nodes.append(encode_node(hops[0], hops[1:], is_final, producer_ids,
-                             start))
+                nid, at = _map_chain(child, False, at, out)
+                ids.append(nid)
+    key = id(anchor), is_final
+    if key not in layouts:
+        layouts[key] = encode_node(hops[0], hops[1:], is_final)
+    nodes.append(layouts[key])
+    offsets.append(start)
+    producers.append(tuple(ids))
     return len(nodes) - 1, at
 
 
@@ -339,11 +342,11 @@ def validate_node_tree(tree: NodeTree,
             return False, "node %d value used %d times" % (nid, n)
     if uses[-1] != 0:
         return False, "root node value must be unused"
-    slices = sorted((offset, length) for node in tree.nodes
-                    for _, offset, length in node.message_slices())
+    lengths = (sum(s.length for s in node.segments
+                   if isinstance(s, MessageBits)) for node in tree.nodes)
     pos = 0
-    for offset, length in slices:
-        if offset != pos:
+    for offset, length in sorted(zip(tree.offsets, lengths)):
+        if length and offset != pos:
             return False, "message gap or overlap at bit %d" % pos
         pos += length
     if pos != tree.message_bits:

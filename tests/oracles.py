@@ -469,7 +469,7 @@ def longest_path_depth(tree: NodeTree) -> int:
                 g.add_edge((nid, b - 1), (nid, b))
         last_block[nid] = node.blocks - 1
     for nid, node in enumerate(tree.nodes):
-        for pos, producer in node.cv_positions():
+        for pos, producer in zip(node.cv_positions(), tree.producers[nid]):
             g.add_edge((producer, last_block[producer]),
                        (nid, pos // RATE_BITS))
     order = list(nx.topological_sort(g))
@@ -496,8 +496,8 @@ def rigid_schedule(tree: NodeTree, out_bits: int = 512) -> Schedule:
 
 
 def random_topological_order(tree: NodeTree, rng: random.Random) -> list:
-    deps = {nid: {p for _, p in node.cv_positions()}
-            for nid, node in enumerate(tree.nodes)}
+    deps = {nid: set(producers)
+            for nid, producers in enumerate(tree.producers)}
     ready = [nid for nid, d in deps.items() if not d]
     done = set()
     order = []

@@ -1,6 +1,8 @@
 """The dependency index: one topology check for validation, simulation
 and both executors."""
 
+from dataclasses import replace
+
 import pytest
 
 from oracles import validate_tree
@@ -8,41 +10,56 @@ from parashake import planner
 from parashake.bits import BitString
 from parashake.errors import DependencyCycleError
 from parashake.evaluate import evaluate_parallel, evaluate_sequential
-from parashake.sakura import CVSlot, NodeLayout, NodeTree, validate_node_tree
+from parashake.sakura import NodeLayout, NodeTree, validate_node_tree
 from parashake.scheduler import simulate, validate_happens_before
 
 
 def test_index_lists_blocks_and_producers():
     tree = planner.plan("ternary", 29457).node_tree
     for nid, (node, node_deps) in enumerate(zip(tree.nodes, tree.deps)):
-        assert node_deps == tuple((pos // 1088, producer, pos)
-                                  for pos, producer in node.cv_positions())
+        assert node_deps == tuple(
+            (pos // 1088, producer, pos) for pos, producer
+            in zip(node.cv_positions(), tree.producers[nid]))
         assert all(0 <= producer < nid for _, producer, _ in node_deps)
     assert tree.deps is tree.deps
 
 
-def _redirect_first_slot(tree: NodeTree, reference: str) -> tuple:
-    """Point the tree's first chaining-value slot at its own node, at the
-    last node or at a name that is no node id; returns the mutated tree,
-    the slot's node and its new producer."""
-    nodes = list(tree.nodes)
-    nid, idx = next((nid, idx) for nid, node in enumerate(nodes)
-                    for idx, seg in enumerate(node.segments)
-                    if isinstance(seg, CVSlot))
-    producer = {"self": nid, "forward": len(nodes) - 1,
-                "not-an-id": "x"}[reference]
-    segs = list(nodes[nid].segments)
-    segs[idx] = CVSlot(producer)
-    nodes[nid] = NodeLayout(tuple(segs), nodes[nid].is_final)
-    return NodeTree(tuple(nodes), tree.message_bits), nid, producer
+def _break(tree: NodeTree, fault: str) -> tuple:
+    """The tree with one fault and the error that it must raise.  The
+    reference faults point the first chaining value at its own node, at
+    the last node or at a name that is no node id; the others drop the
+    last offset or producer list, or give the first consumer one producer
+    fewer or more than it has slots."""
+    nid = next(nid for nid, ids in enumerate(tree.producers) if ids)
+    producers = list(tree.producers)
+    ids = producers[nid]
+    if fault in ("self", "forward", "not-an-id"):
+        producer = {"self": nid, "forward": len(producers) - 1,
+                    "not-an-id": "x"}[fault]
+        producers[nid] = (producer,) + ids[1:]
+        want = ("node %d consumes value of node %r, which is not an earlier "
+                "node" % (nid, producer))
+    elif fault in ("fewer-producers", "more-producers"):
+        producers[nid] = ids[:-1] if fault == "fewer-producers" else ids + (0,)
+        want = ("node %d has %d producers for %d chaining-value slots"
+                % (nid, len(producers[nid]), len(ids)))
+    elif fault == "short-offsets":
+        tree = replace(tree, offsets=tree.offsets[:-1])
+        want = "%d nodes, %d offsets, %d producer lists" % (
+            tree.node_count, tree.node_count - 1, tree.node_count)
+    else:
+        producers.pop()
+        want = "%d nodes, %d offsets, %d producer lists" % (
+            tree.node_count, tree.node_count, tree.node_count - 1)
+    return replace(tree, producers=tuple(producers)), want
 
 
-@pytest.mark.parametrize("reference", ["self", "forward", "not-an-id"])
+@pytest.mark.parametrize("reference", ["self", "forward", "not-an-id",
+                                       "fewer-producers", "more-producers",
+                                       "short-offsets", "short-producers"])
 def test_bad_reference_is_one_error_everywhere(reference, rng):
     plan = planner.plan("ternary", 9819)
-    tree, nid, producer = _redirect_first_slot(plan.node_tree, reference)
-    want = ("node %d consumes value of node %r, which is not an earlier node"
-            % (nid, producer))
+    tree, want = _break(plan.node_tree, reference)
     assert validate_node_tree(tree) == (False, want)
     message = BitString(rng.getrandbits(9819), 9819)
     sched = simulate(plan.node_tree)

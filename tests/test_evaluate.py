@@ -288,7 +288,7 @@ def test_slice_out_of_range(rng):
 def test_materialize_node_assembles_stream(rng):
     p = planner.plan("single", 42)
     message = random_message(rng, 42)
-    bits = materialize_node(p.node_tree.nodes[0], message.to_bytes(), 42, {})
+    bits = materialize_node(p.node_tree, 0, message.to_bytes(), {})
     assert len(bits) == 1088
     assert bits.slice(0, 42) == message
     # message hop marker and final marker follow the message

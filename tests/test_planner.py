@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (brute_force_model_choice, is_pad, max_single_kangaroo,
                      validate_tree)
-from parashake import planner, scheduler
+from parashake import planner, scheduler, treeio
 from parashake.errors import MessageTooShortError, NodeCapacityError
 from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                compacted_capacity, leaf_idle_allowance,
@@ -15,7 +15,7 @@ from parashake.planner import (MODELS, build_model_subtree, ceil_log3_ratio,
                                predict, select_model)
 from parashake.planner import LEAF_CAPACITY
 from parashake.sakura import (ChainingHop, HopTree, MessageHop, encode_node,
-                              map_hop_tree_to_node_tree)
+                              iter_hops, map_hop_tree_to_node_tree)
 from parashake.sponge import RATE_BITS
 
 
@@ -230,8 +230,7 @@ def _node(bits: int, n_cv: int, final: bool):
     """A message hop of `bits`, then a chaining hop of `n_cv` values."""
     values = (MessageHop(0),) * n_cv
     chain = [ChainingHop((MessageHop(bits),) + values)] if n_cv else []
-    return encode_node(MessageHop(bits), chain, final,
-                       producer_ids=range(n_cv))
+    return encode_node(MessageHop(bits), chain, final)
 
 
 def _fill(node) -> tuple:
@@ -251,7 +250,7 @@ def test_capacities_are_the_writers_maxima(final):
         node = _node(cap, 2 * (b - 1), final)
         assert _fill(node) == (b, 0)
         assert _fill(_node(cap + 1, 2 * (b - 1), final)) == (b + 1, 1087)
-        starts = [pos for pos, _ in node.cv_positions()]
+        starts = list(node.cv_positions())
         assert starts[0] == 64 * b + 985 + final
         for slot in (0, 1):
             assert (leaf_idle_slack(b, slot)
@@ -465,6 +464,19 @@ def test_report_is_the_prediction(strategy):
             predict(strategy, n), n
 
 
+@pytest.mark.parametrize("strategy", planner.STRATEGIES[1:])
+def test_paper_claims_at_10_8_bits(strategy):
+    # depth and processors as functions of n, past the sweeps' 10^7 bits
+    n = 10 ** 8
+    depth, processors = predict(strategy, n)
+    tree = plan(strategy, n).node_tree
+    s = scheduler.simulate(tree)
+    assert s.depth == depth
+    assert tree.node_count <= processors
+    assert s.max_concurrency == tree.node_count
+    assert s.total_stalls == 0
+
+
 def test_ternary_is_the_model_2_composition():
     for n in (3275, 9820, 29457, 10 ** 5):
         a, b = plan("ternary", n), plan_ternary_with_model(n, 2)
@@ -499,3 +511,23 @@ def test_equal_subtrees_are_one_object(strategy):
             stack.extend(getattr(hop, "children", ()))
     assert len(seen) <= 100, len(seen)
     assert HopTree(root).message_bits == n
+
+
+def _distinct(items) -> int:
+    return len({id(item) for item in items})
+
+
+@pytest.mark.parametrize("strategy", planner.STRATEGIES)
+def test_nodes_of_one_chain_share_one_layout(strategy):
+    # a layout depends on its chain and role alone, so the mapping lays
+    # out each (hop object, role) once: one more than the hop objects
+    # bounds the layouts, whether the tree was planned or loaded
+    planned = plan(strategy, 10 ** 6)
+    loaded = treeio.load_plan(treeio.dump_plan(planned))
+    for p in (planned, loaded):
+        hops = _distinct(hop for _, hop in iter_hops(p.hop_tree))
+        assert _distinct(p.node_tree.nodes) <= hops + 1, p is loaded
+    assert loaded.node_tree == planned.node_tree
+    if strategy in ("ternary-min-procs", "compacted"):
+        nodes = plan(strategy, 10 ** 8).node_tree.nodes
+        assert _distinct(nodes) <= 100, _distinct(nodes)

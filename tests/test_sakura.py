@@ -87,8 +87,8 @@ def hop_bits(node: NodeLayout) -> int:
 def test_message_hop_encoding():
     empty = encode_node(MessageHop(0))
     assert empty.segments[:-1] == (FrameBits(1, 1),)
-    node = encode_node(MessageHop(9), offset=5)
-    assert node.segments[:-1] == (MessageBits(5, 9), FrameBits(1, 1))
+    node = encode_node(MessageHop(9))
+    assert node.segments[:-1] == (MessageBits(9), FrameBits(1, 1))
     assert hop_bits(node) == 10
 
 
@@ -98,7 +98,7 @@ def test_chaining_hop_lengths():
         node = encode_node(lone)
         assert hop_bits(node) == want
         assert node.segments[-2] == chaining_frame_bits(n_cv)
-        assert {p for _, p in node.cv_positions()} == {-1}  # placeholders
+        assert len(list(node.cv_positions())) == n_cv
 
 
 def test_chaining_frame_bit_pattern():
@@ -144,11 +144,10 @@ def test_model_full_final_node_layout():
     # 1112-bit message hop plus a kangaroo hop of two values: two blocks
     hop = ChainingHop((MessageHop(1112), MessageHop(1081),
                        MessageHop(1081)))
-    node = encode_node(MessageHop(1112), [hop], is_final=True,
-                       producer_ids=[0, 1])
+    node = encode_node(MessageHop(1112), [hop], is_final=True)
     assert node.total_bits == 2176
     assert tail_fill_zeros(node) == 0
-    assert [p for p, _ in node.cv_positions()] == [1114, 1626]
+    assert list(node.cv_positions()) == [1114, 1626]
 
 
 def test_aligned_extra_hop_gets_own_block():
@@ -156,10 +155,9 @@ def test_aligned_extra_hop_gets_own_block():
                         MessageHop(1081)))
     upper = ChainingHop((base, MessageHop(1), MessageHop(1)),
                         aligned=True)
-    node = encode_node(MessageHop(1111), [base, upper], is_final=True,
-                       producer_ids=[0, 1, 2, 3])
+    node = encode_node(MessageHop(1111), [base, upper], is_final=True)
     assert node.total_bits == 3264
-    positions = [p for p, _ in node.cv_positions()]
+    positions = list(node.cv_positions())
     # the upper hop's values live entirely in the third block
     assert positions[2] >= 2176 and positions[3] + 512 <= 3264
     assert any(is_pad(s) for s in node.segments)
@@ -175,12 +173,6 @@ def test_encode_rejects_bad_chains():
     # a chain hop must absorb its first child
     with pytest.raises(GrammarError):
         encode_node(MessageHop(10), [lone])
-    # one producer id per chaining-value slot, no fewer and no more
-    pair = ChainingHop((MessageHop(0),) * 2, kangaroo_first=False)
-    for ids in ([7], [7, 8, 9]):
-        with pytest.raises(GrammarError, match="for 2 chaining-value slots"):
-            encode_node(pair, producer_ids=ids)
-    assert [p for _, p in encode_node(pair).cv_positions()] == [-1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +235,21 @@ def test_compacted_mapping_single_chain_hop_per_node():
 def test_message_coverage_is_checked():
     # a hop tree cannot express overlapping slices; lay out the nodes by
     # hand, the leaf reading bits 50..149 where the root reads 0..99
-    leaf = encode_node(MessageHop(100), offset=50)
+    leaf = encode_node(MessageHop(100))
     root = encode_node(MessageHop(100),
                        [ChainingHop((MessageHop(100), MessageHop(100)))],
-                       is_final=True, producer_ids=[0])
-    ok, why = validate_tree(NodeTree((leaf, root), 150))
+                       is_final=True)
+
+    def tree(leaf_offset, message_bits):
+        return NodeTree((leaf, root), message_bits, (leaf_offset, 0),
+                        ((), (0,)))
+
+    ok, why = validate_tree(tree(50, 150))
     assert not ok and "overlap" in why
-    ok, why = validate_tree(NodeTree((leaf, root), 200))
+    ok, why = validate_tree(tree(50, 200))
     assert not ok and "overlap" in why
-    leaf = encode_node(MessageHop(100), offset=100)
-    assert validate_tree(NodeTree((leaf, root), 200)) == (True, "ok")
-    ok, why = validate_tree(NodeTree((leaf, root), 250))
+    assert validate_tree(tree(100, 200)) == (True, "ok")
+    ok, why = validate_tree(tree(100, 250))
     assert not ok and "covers 200 of 250" in why
 
 
@@ -280,8 +276,8 @@ def test_wrong_suffix_rejected():
 
 
 def test_coded_count_mismatch_rejected():
-    segs = [MessageBits(0, 100), frame("1"), frame("1"),
-            CVSlot(0), CVSlot(1), chaining_frame_bits(3)]
+    segs = [MessageBits(100), frame("1"), frame("1"),
+            CVSlot(), CVSlot(), chaining_frame_bits(3)]
     total = sum(s.length for s in segs)
     pad = (-(total + 6)) % 1088
     segs.append(frame("10" + "11" + "1" + "0" * pad + "1"))
@@ -335,26 +331,26 @@ def _closed(segs, is_final=False, marker=None, last="1") -> NodeLayout:
 
 
 GRAMMAR_DIAGNOSES = [
-    (_closed([MessageBits(0, 100), frame("1")]), "ok"),
-    (NodeLayout((MessageBits(0, 1088),), True), "expected a frame bit"),
-    (_closed([CVSlot(0), frame("1" * 20 + "0")]), "expected a frame bit"),
-    (_closed([MessageBits(0, 100), frame("1")], last="0"),
+    (_closed([MessageBits(100), frame("1")]), "ok"),
+    (NodeLayout((MessageBits(1088),), True), "expected a frame bit"),
+    (_closed([CVSlot(), frame("1" * 20 + "0")]), "expected a frame bit"),
+    (_closed([MessageBits(100), frame("1")], last="0"),
      "frame bit '0' where '1' was required"),
-    (_closed([MessageBits(0, 100), frame("1")], marker="11"),
+    (_closed([MessageBits(100), frame("1")], marker="11"),
      "frame bit '1' where '0' was required"),
     (_closed([], is_final=True), "node has no hops"),
-    (_closed([CVSlot(0), _coded(1, marker=0x7FFF)]),
+    (_closed([CVSlot(), _coded(1, marker=0x7FFF)]),
      "bad interleaving marker"),
-    (_closed([CVSlot(0), _coded(1, length_byte=2)]),
+    (_closed([CVSlot(), _coded(1, length_byte=2)]),
      "bad coded-count length byte"),
-    (_closed([CVSlot(0), _coded(0)]),
+    (_closed([CVSlot(), _coded(0)]),
      "coded chaining-value count out of range"),
-    (_closed([CVSlot(0), _coded(2)]), "coded count 2 disagrees with 1 slots"),
-    (_closed([frame("1"), MessageBits(0, 100), frame("1")]),
+    (_closed([CVSlot(), _coded(2)]), "coded count 2 disagrees with 1 slots"),
+    (_closed([frame("1"), MessageBits(100), frame("1")]),
      "message hop is not at the start of the node"),
-    (_closed([MessageBits(0, 100)]),
+    (_closed([MessageBits(100)]),
      "unexpected m token inside frame position"),
-    (_closed([CVSlot(0)]), "unexpected c token inside frame position"),
+    (_closed([CVSlot()]), "unexpected c token inside frame position"),
 ]
 
 
@@ -365,7 +361,7 @@ def test_grammar_diagnosis(node, diagnosis):
 
 
 def test_zero_length_cv_slot_is_read_once():
-    node = _closed([CVSlot(0, 0), _coded(1)])
+    node = _closed([CVSlot(0), _coded(1)])
     assert validate_grammar(node) == (True, "ok")
 
 

@@ -149,9 +149,9 @@ def test_cycle_detection():
     from oracles import frame
     from parashake.sakura import (CVSlot, NodeLayout, NodeTree,
                                   chaining_frame_bits)
-    segs = (CVSlot(1), chaining_frame_bits(1),
+    segs = (CVSlot(), chaining_frame_bits(1),
             frame("1" + "11" + "1" + "0" * (1088 - 545 - 5) + "1"))
     node = NodeLayout(segs, is_final=True)
-    loop = NodeTree((node,), 0)
+    loop = NodeTree((node,), 0, (0,), ((1,),))
     with pytest.raises(DependencyCycleError):
         simulate(loop)
